@@ -55,20 +55,29 @@ void BM_ScoreBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreBackward)->Apply(AllModelKinds);
 
+/// Pins the kernel dispatch: the scalar path, or the CPU's best batch
+/// path (the AVX2 build when the CPU has AVX2).
+void PinKernelPath(bool batched) {
+  using embedding::kernels::KernelPath;
+  const KernelPath path = !batched ? KernelPath::kScalar
+                          : embedding::kernels::DetectCpuFeatures().avx2
+                              ? KernelPath::kAvx2
+                              : KernelPath::kPortableVector;
+  if (!embedding::kernels::SetKernelPath(path).ok()) std::abort();
+}
+
 // Batched forward+backward of one positive and N tail-corrupt
 // negatives, the exact shape ParallelBatchScorer::ProcessChunk issues.
-// range(3) selects the path: 0 = per-triple scalar loop under
-// --kernel=scalar (the pre-batching baseline), 1 = the batch API under
-// --kernel=vector. Items/sec ratio between the two at equal
-// (model, dim, negs) is the batched-kernel speedup (EXPERIMENTS.md).
+// range(3) selects the path: 0 = per-triple scalar loop on the scalar
+// path (the baseline x86-64 build), 1 = the batch API on the CPU's best
+// path. Items/sec ratio between the two at equal (model, dim, negs) is
+// the batched-kernel speedup (EXPERIMENTS.md).
 void BM_ScoreBatch(benchmark::State& state) {
   const auto kind = static_cast<embedding::ModelKind>(state.range(0));
   const size_t dim = static_cast<size_t>(state.range(1));
   const size_t negs = static_cast<size_t>(state.range(2));
   const bool batched = state.range(3) != 0;
-  embedding::kernels::SetKernelMode(
-      batched ? embedding::kernels::KernelMode::kVector
-              : embedding::kernels::KernelMode::kScalar);
+  PinKernelPath(batched);
 
   auto fn = embedding::MakeScoreFunction(kind, dim).value();
   const size_t rdim = fn->RelationDim(dim);
@@ -122,7 +131,7 @@ void BM_ScoreBatch(benchmark::State& state) {
   state.SetLabel(std::string(fn->name()) + " dim=" + std::to_string(dim) +
                  " negs=" + std::to_string(negs) +
                  (batched ? " batch" : " scalar"));
-  embedding::kernels::SetKernelMode(embedding::kernels::KernelMode::kAuto);
+  (void)embedding::kernels::SetKernelPath(std::nullopt);
 }
 BENCHMARK(BM_ScoreBatch)
     ->ArgsProduct({{static_cast<int>(embedding::ModelKind::kTransEL1),
@@ -147,14 +156,12 @@ void BM_AdaGradApply(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaGradApply)->Arg(16)->Arg(64)->Arg(400);
 
-// AdaGrad whole-row update: range(1) = 0 runs Apply under
-// --kernel=scalar, 1 runs ApplyBatch under --kernel=vector.
+// AdaGrad whole-row update: range(1) = 0 runs Apply on the scalar
+// path, 1 runs ApplyBatch on the CPU's best path.
 void BM_AdaGradApplyBatch(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
-  embedding::kernels::SetKernelMode(
-      batched ? embedding::kernels::KernelMode::kVector
-              : embedding::kernels::KernelMode::kScalar);
+  PinKernelPath(batched);
   embedding::EmbeddingTable table(1024, dim);
   embedding::AdaGrad opt(1024, dim, 0.1);
   std::vector<float> grad(dim, 0.01f);
@@ -170,7 +177,7 @@ void BM_AdaGradApplyBatch(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * dim * sizeof(float));
   state.SetLabel("dim=" + std::to_string(dim) +
                  (batched ? " batch" : " scalar"));
-  embedding::kernels::SetKernelMode(embedding::kernels::KernelMode::kAuto);
+  (void)embedding::kernels::SetKernelPath(std::nullopt);
 }
 BENCHMARK(BM_AdaGradApplyBatch)->ArgsProduct({{64, 128, 400}, {0, 1}});
 

@@ -118,9 +118,6 @@ void DefineCommonFlags(FlagParser* flags) {
   flags->Define("threads", "1",
                 "compute threads for the intra-batch forward/backward "
                 "fan-out (bit-identical results at any value)");
-  flags->Define("kernel", "auto",
-                "score/optimizer kernel path: auto | scalar | vector "
-                "(bit-identical results at any value)");
   flags->Define("seed", "1234", "global seed");
   // Async pipeline engine (DESIGN.md §12). Off by default: the
   // deterministic mode ticks the stages in lockstep and stays
@@ -341,7 +338,6 @@ core::TrainerConfig ConfigFromFlags(const FlagParser& flags) {
       static_cast<size_t>(flags.GetInt("max_pipeline_staleness"));
   config.pbg_partitions = 2 * config.num_machines;
   config.num_threads = static_cast<size_t>(flags.GetInt("threads"));
-  config.kernel = flags.GetString("kernel");
   config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   config.fault = FaultConfigFromFlags(flags);
   config.obs = ObsConfigFromFlags(flags);

@@ -140,9 +140,6 @@ int main(int argc, char** argv) {
   flags.Define("threads", "1",
                "compute threads for the intra-batch forward/backward "
                "fan-out (results are bit-identical at any value)");
-  flags.Define("kernel", "auto",
-               "score/optimizer kernel path: auto | scalar | vector "
-               "(results are bit-identical at any value)");
   flags.Define("checkpoint", "", "path to write the trained embeddings");
   flags.Define("seed", "1234", "seed");
   flags.Define("async", "false",
@@ -350,7 +347,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("max_pipeline_staleness"));
   config.pbg_partitions = 2 * config.num_machines;
   config.num_threads = static_cast<size_t>(flags.GetInt("threads"));
-  config.kernel = flags.GetString("kernel");
   config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   config.fault.drop_prob = flags.GetDouble("fault_drop");
   config.fault.duplicate_prob = flags.GetDouble("fault_duplicate");

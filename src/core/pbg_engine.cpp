@@ -46,11 +46,9 @@ Status PbgEngine::Setup(const std::vector<Triple>& train) {
     HETKG_LOG(Warning)
         << "--async applies to the PS engines; PBG trains serially";
   }
-  // Kernel dispatch for the score/optimizer hot loops. Every path is
-  // bit-identical (DESIGN.md §10), so this only affects speed.
-  HETKG_ASSIGN_OR_RETURN(const embedding::kernels::KernelMode kernel_mode,
-                         embedding::kernels::ParseKernelMode(config_.kernel));
-  embedding::kernels::SetKernelMode(kernel_mode);
+  // Kernel dispatch for the score/optimizer hot loops is process-wide
+  // (DESIGN.md §10); every path is bit-identical, so it only affects
+  // speed.
   embedding::kernels::LogDispatchOnce();
 
   HETKG_ASSIGN_OR_RETURN(

@@ -94,11 +94,9 @@ std::string_view PsTrainingEngine::name() const {
 }
 
 Status PsTrainingEngine::Setup(const std::vector<Triple>& train) {
-  // Kernel dispatch for the score/optimizer hot loops. Every path is
-  // bit-identical (DESIGN.md §10), so this only affects speed.
-  HETKG_ASSIGN_OR_RETURN(const embedding::kernels::KernelMode kernel_mode,
-                         embedding::kernels::ParseKernelMode(config_.kernel));
-  embedding::kernels::SetKernelMode(kernel_mode);
+  // Kernel dispatch for the score/optimizer hot loops is process-wide
+  // (DESIGN.md §10); every path is bit-identical, so it only affects
+  // speed.
   embedding::kernels::LogDispatchOnce();
 
   // Scoring model and loss.

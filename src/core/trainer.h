@@ -55,11 +55,6 @@ struct TrainerConfig {
   /// value). 0 and 1 both mean serial execution. Simulation accounting
   /// and sampling stay single-threaded regardless.
   size_t num_threads = 1;
-  /// Score/optimizer kernel dispatch: "auto" | "scalar" | "vector"
-  /// (embedding/kernels.h). Every path produces the same bits — this is
-  /// a pure performance knob, like num_threads. Under "auto" the
-  /// HETKG_KERNEL environment variable can steer the choice.
-  std::string kernel = "auto";
 
   /// Cache construction + synchronization (HET-KG systems only).
   SyncConfig sync;

@@ -54,7 +54,8 @@ class AdaGrad {
 
   /// Vectorized Apply (embedding/kernels.cpp): whole-row accumulator
   /// update + step, bit-identical to Apply on every kernel path. Use on
-  /// hot paths; falls back to Apply under --kernel=scalar.
+  /// hot paths; falls back to Apply on the scalar path
+  /// (HETKG_KERNEL=scalar).
   void ApplyBatch(size_t row_index, std::span<float> row,
                   std::span<const float> grad);
 

@@ -19,7 +19,7 @@ double ComplEx::Score(std::span<const float> h, std::span<const float> r,
                       std::span<const float> t) const {
   assert(h.size() % 2 == 0);
   assert(h.size() == r.size() && h.size() == t.size());
-  return kernels::ComplExScore(h, r, t);
+  return kernels::Score(kind(), {h, r, t});
 }
 
 void ComplEx::ScoreBackward(std::span<const float> h, std::span<const float> r,
@@ -27,14 +27,14 @@ void ComplEx::ScoreBackward(std::span<const float> h, std::span<const float> r,
                             std::span<float> gh, std::span<float> gr,
                             std::span<float> gt) const {
   assert(h.size() % 2 == 0);
-  kernels::ComplExScoreBackward(h, r, t, upstream, gh, gr, gt);
+  kernels::ScoreBackward(kind(), {h, r, t}, upstream, {gh, gr, gt});
 }
 
 void ComplEx::ScoreBatch(const TripleView& ref,
                          std::span<const TripleView> triples,
                          std::span<double> scores,
                          kernels::KernelScratch* scratch) const {
-  kernels::ComplExScoreBatch(ref, triples, scores, scratch);
+  kernels::ScoreBatch(kind(), ref, triples, scores, scratch);
 }
 
 void ComplEx::ScoreBackwardBatch(const TripleView& ref,
@@ -42,7 +42,8 @@ void ComplEx::ScoreBackwardBatch(const TripleView& ref,
                                  std::span<const double> upstreams,
                                  std::span<const GradView> grads,
                                  kernels::KernelScratch* scratch) const {
-  kernels::ComplExScoreBackwardBatch(ref, triples, upstreams, grads, scratch);
+  kernels::ScoreBackwardBatch(kind(), ref, triples, upstreams, grads,
+                              scratch);
 }
 
 }  // namespace hetkg::embedding

@@ -13,7 +13,7 @@ namespace hetkg::embedding {
 double DistMult::Score(std::span<const float> h, std::span<const float> r,
                        std::span<const float> t) const {
   assert(h.size() == r.size() && h.size() == t.size());
-  return kernels::DistMultScore(h, r, t);
+  return kernels::Score(kind(), {h, r, t});
 }
 
 void DistMult::ScoreBackward(std::span<const float> h,
@@ -22,14 +22,14 @@ void DistMult::ScoreBackward(std::span<const float> h,
                              std::span<float> gh, std::span<float> gr,
                              std::span<float> gt) const {
   assert(h.size() == r.size() && h.size() == t.size());
-  kernels::DistMultScoreBackward(h, r, t, upstream, gh, gr, gt);
+  kernels::ScoreBackward(kind(), {h, r, t}, upstream, {gh, gr, gt});
 }
 
 void DistMult::ScoreBatch(const TripleView& ref,
                           std::span<const TripleView> triples,
                           std::span<double> scores,
                           kernels::KernelScratch* scratch) const {
-  kernels::DistMultScoreBatch(ref, triples, scores, scratch);
+  kernels::ScoreBatch(kind(), ref, triples, scores, scratch);
 }
 
 void DistMult::ScoreBackwardBatch(const TripleView& ref,
@@ -37,7 +37,8 @@ void DistMult::ScoreBackwardBatch(const TripleView& ref,
                                   std::span<const double> upstreams,
                                   std::span<const GradView> grads,
                                   kernels::KernelScratch* scratch) const {
-  kernels::DistMultScoreBackwardBatch(ref, triples, upstreams, grads, scratch);
+  kernels::ScoreBackwardBatch(kind(), ref, triples, upstreams, grads,
+                              scratch);
 }
 
 }  // namespace hetkg::embedding

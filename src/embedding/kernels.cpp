@@ -7,20 +7,28 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.h"
+#include "embedding/score_function.h"
 
-// The AVX2 kernels are compiled with per-function target attributes so
-// the library still builds for (and runs on) baseline x86-64; dispatch
-// picks them only when the CPU reports AVX2. Bit-identity with the
-// portable lanes relies on every vector op being IEEE-exact (add, sub,
-// mul, div, sqrt, cvt, and bitwise abs/sign games) and on FMA
-// contraction being disabled project-wide (-ffp-contract=off): a fused
-// multiply-add rounds once where the portable path rounds twice.
+// Every kernel body is written once, in GCC vector extensions, and
+// built for baseline x86-64 and under target("avx2"); dispatch picks
+// the AVX2 build only when the CPU reports AVX2. Bit-identity relies on
+// every lane op being IEEE-exact (add, sub, mul, div, sqrt, cvt, and
+// bitwise abs/sign games) and on FMA contraction being disabled
+// project-wide (-ffp-contract=off): a fused multiply-add rounds once
+// where the scalar expression rounds twice. No target enables fma.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HETKG_KERNELS_X86 1
 #include <immintrin.h>
 #endif
+
+// Lane helpers pass 32-byte vectors by value but are always inlined,
+// so GCC's baseline-ABI note on such signatures does not apply.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace hetkg::embedding::kernels {
 
@@ -31,7 +39,6 @@ namespace hetkg::embedding::kernels {
 namespace {
 
 std::atomic<int> g_path{-1};  // -1 = not yet resolved.
-std::atomic<int> g_mode{static_cast<int>(KernelMode::kAuto)};
 std::once_flag g_log_once;
 
 // HETKG_KERNEL is read exactly ONCE per dispatch resolution and the
@@ -42,29 +49,20 @@ std::mutex g_env_mu;
 std::string g_env_snapshot;
 bool g_env_snapshot_set = false;
 
-/// The single environment read feeding one dispatch resolution.
-KernelMode SnapshotEnvOverride(KernelMode mode) {
+/// The CPU's best path, unless HETKG_KERNEL=scalar. "auto", "vector"
+/// (the CPU's best path anyway) and unknown values keep the default.
+/// This is the single environment read feeding one resolution.
+KernelPath ResolveFromCpuAndEnv() {
   const char* env = std::getenv("HETKG_KERNEL");
+  const bool set = env != nullptr && *env != '\0';
   {
     std::lock_guard<std::mutex> lock(g_env_mu);
-    g_env_snapshot_set = env != nullptr && *env != '\0';
-    g_env_snapshot = g_env_snapshot_set ? env : "";
+    g_env_snapshot_set = set;
+    g_env_snapshot = set ? env : "";
   }
-  if (mode == KernelMode::kAuto && env != nullptr && *env != '\0') {
-    if (const Result<KernelMode> parsed = ParseKernelMode(env); parsed.ok()) {
-      mode = *parsed;
-    }
-  }
-  return mode;
-}
-
-/// Pure mode -> path policy (no environment involved).
-KernelPath PathForMode(KernelMode mode) {
-  if (mode == KernelMode::kScalar) return KernelPath::kScalar;
-#if HETKG_KERNELS_X86
-  if (DetectCpuFeatures().avx2) return KernelPath::kAvx2;
-#endif
-  return KernelPath::kPortableVector;
+  if (set && std::string_view(env) == "scalar") return KernelPath::kScalar;
+  return DetectCpuFeatures().avx2 ? KernelPath::kAvx2
+                                  : KernelPath::kPortableVector;
 }
 
 }  // namespace
@@ -87,26 +85,6 @@ std::string CpuFeatures::ToString() const {
   return s.empty() ? "none" : s;
 }
 
-Result<KernelMode> ParseKernelMode(std::string_view name) {
-  if (name == "auto") return KernelMode::kAuto;
-  if (name == "scalar") return KernelMode::kScalar;
-  if (name == "vector") return KernelMode::kVector;
-  return Status::InvalidArgument("unknown kernel mode: " + std::string(name) +
-                                 " (want auto | scalar | vector)");
-}
-
-std::string_view KernelModeName(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kAuto:
-      return "auto";
-    case KernelMode::kScalar:
-      return "scalar";
-    case KernelMode::kVector:
-      return "vector";
-  }
-  return "unknown";
-}
-
 std::string_view KernelPathName(KernelPath path) {
   switch (path) {
     case KernelPath::kScalar:
@@ -119,33 +97,21 @@ std::string_view KernelPathName(KernelPath path) {
   return "unknown";
 }
 
-KernelPath ResolveKernelPath(KernelMode mode) {
-  if (mode == KernelMode::kAuto) {
-    if (const char* env = std::getenv("HETKG_KERNEL");
-        env != nullptr && *env != '\0') {
-      if (const Result<KernelMode> parsed = ParseKernelMode(env);
-          parsed.ok()) {
-        mode = *parsed;
-      }
-    }
+Status SetKernelPath(std::optional<KernelPath> path) {
+  if (path == KernelPath::kAvx2 && !DetectCpuFeatures().avx2) {
+    return Status::FailedPrecondition(
+        "kernel path avx2 needs a CPU with AVX2");
   }
-  return PathForMode(mode);
-}
-
-void SetKernelMode(KernelMode mode) {
-  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-  g_path.store(static_cast<int>(PathForMode(SnapshotEnvOverride(mode))),
-               std::memory_order_relaxed);
-}
-
-KernelMode ActiveMode() {
-  return static_cast<KernelMode>(g_mode.load(std::memory_order_relaxed));
+  const KernelPath resolved =
+      path.has_value() ? *path : ResolveFromCpuAndEnv();
+  g_path.store(static_cast<int>(resolved), std::memory_order_relaxed);
+  return Status::OK();
 }
 
 KernelPath ActivePath() {
   int p = g_path.load(std::memory_order_relaxed);
   if (p < 0) {
-    p = static_cast<int>(PathForMode(SnapshotEnvOverride(KernelMode::kAuto)));
+    p = static_cast<int>(ResolveFromCpuAndEnv());
     g_path.store(p, std::memory_order_relaxed);
   }
   return static_cast<KernelPath>(p);
@@ -166,650 +132,326 @@ void LogDispatchOnce() {
   // environment changed between the two reads.
   std::call_once(g_log_once, [] {
     HETKG_LOG(Info) << "kernel dispatch: path=" << KernelPathName(ActivePath())
-                    << " (mode=" << KernelModeName(ActiveMode())
-                    << ", cpu features: " << DetectCpuFeatures().ToString()
+                    << " (cpu features: " << DetectCpuFeatures().ToString()
                     << ", HETKG_KERNEL=" << DispatchEnvSnapshot() << ")";
   });
 }
 
 // ======================================================================
-// Primitives
+// Lanes
 // ======================================================================
 //
-// Naming: *Full takes raw (h, r, t) rows; *Hoisted takes the
-// precomputed double-precision query intermediate instead of (h, r).
-// Every reduction accumulates element j into lane j % kLaneWidth and
-// merges through TreeReduce8, so the Full/Hoisted/portable/AVX2 forms
-// of one expression are interchangeable at the bit level.
+// A lane type V is a 32-byte vector (D4: 4 doubles, F8: 8 floats; F4 is
+// the 4-float half that widens to a D4) or the matching scalar for the
+// tail. Each body is one generic expression evaluated at both widths, so
+// the vector blocks and the scalar tail cannot drift apart. Every
+// reduction accumulates element j into lane j % kLaneWidth and merges
+// through TreeReduce8, whatever build runs it.
 
 namespace {
+
+#define HETKG_LANES inline __attribute__((always_inline))
+#define HETKG_LANES_LAMBDA __attribute__((always_inline))
+
+typedef float F4 __attribute__((vector_size(16)));
+typedef float F8 __attribute__((vector_size(32)));
+typedef double D4 __attribute__((vector_size(32)));
+typedef int64_t I4 __attribute__((vector_size(32)));
+
+/// The element type of lane type V (V itself for a scalar), and the
+/// number of elements V holds.
+template <class V>
+auto ElemOf() {
+  if constexpr (std::is_arithmetic_v<V>) return V{};
+  else return V{}[0];
+}
+template <class V>
+using Elem = decltype(ElemOf<V>());
+template <class V>
+constexpr size_t kWidth = sizeof(V) / sizeof(Elem<V>);
+
+/// Loads kWidth<V> values of T at p, converted to V's element type.
+/// (Element-wise braces, not __builtin_convertvector of a loaded
+/// vector: GCC 12 splits that widening into 128-bit halves.)
+template <class V, class T>
+HETKG_LANES V Load(const T* p) {
+  if constexpr (std::is_arithmetic_v<V>) {
+    return static_cast<V>(*p);
+  } else {
+    typedef int32_t Ints __attribute__((vector_size(kWidth<V> * 4)));
+    return [p]<size_t... i>(std::index_sequence<i...>) HETKG_LANES_LAMBDA {
+      if constexpr (std::is_integral_v<T>) {
+        return __builtin_convertvector(Ints{p[i]...}, V);
+      } else {
+        return V{p[i]...};
+      }
+    }(std::make_index_sequence<kWidth<V>>{});
+  }
+}
+
+/// Stores v at p through V's own type (GCC gives a vector type its
+/// element type's alias set), not memcpy: the store then cannot alias
+/// the row pointers and sizes the loop keeps in registers.
+template <class V, class T>
+HETKG_LANES void Store(T* p, V v) {
+  static_assert(std::is_same_v<Elem<V>, T>);
+  typedef V Unaligned __attribute__((aligned(alignof(T))));
+  *reinterpret_cast<Unaligned*>(p) = v;
+}
+
+HETKG_LANES float Narrow(double v) { return static_cast<float>(v); }
+HETKG_LANES F4 Narrow(D4 v) { return __builtin_convertvector(v, F4); }
+HETKG_LANES double Widen(float v) { return v; }
+HETKG_LANES D4 Widen(F4 v) { return D4{v[0], v[1], v[2], v[3]}; }
+
+HETKG_LANES double Abs(double e) { return std::fabs(e); }
+HETKG_LANES D4 Abs(D4 e) {
+  return reinterpret_cast<D4>(reinterpret_cast<I4>(e) & INT64_MAX);
+}
+
+// sign(e) as (e > 0) - (e < 0) built from compare masks; multiplying by
+// the exact constants {1.0, -1.0, 0.0} matches the scalar branches (NaN
+// and ±0 give +0.0 on both).
+HETKG_LANES double Sign(double e) {
+  return e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0);
+}
+HETKG_LANES D4 Sign(D4 e) {
+  const I4 one = reinterpret_cast<I4>(D4{} + 1.0);
+  return reinterpret_cast<D4>((e > D4{}) & one) -
+         reinterpret_cast<D4>((e < D4{}) & one);
+}
+
+HETKG_LANES double Sqrt(double x) { return std::sqrt(x); }
+// Vectorizes because this file builds with -fno-math-errno.
+HETKG_LANES D4 Sqrt(D4 x) {
+  for (int i = 0; i < 4; ++i) x[i] = std::sqrt(x[i]);
+  return x;
+}
+
+/// Calls f(V{}, j) on each whole block of kWidth<V> elements, then
+/// f(Elem<V>{}, j) on each element of the tail.
+template <class V, class F>
+HETKG_LANES void ForLanes(size_t n, F&& f) {
+  size_t j = 0;
+  for (; j + kWidth<V> <= n; j += kWidth<V>) f(V{}, j);
+  for (; j < n; ++j) f(Elem<V>{}, j);
+}
+
+/// sum_j term(j) over [0, n): element j accumulates into lane j % 8
+/// (two D4 blocks per 8 elements), then TreeReduce8.
+template <class F>
+HETKG_LANES double LaneSum(size_t n, F&& term) {
+  D4 lo = {};
+  D4 hi = {};
+  size_t j = 0;
+  for (; j + kLaneWidth <= n; j += kLaneWidth) {
+    lo += term(D4{}, j);
+    hi += term(D4{}, j + 4);
+  }
+  double lane[kLaneWidth];
+  std::memcpy(lane, &lo, sizeof(lo));
+  std::memcpy(lane + 4, &hi, sizeof(hi));
+  for (size_t k = 0; j < n; ++j, ++k) lane[k] += term(0.0, j);
+  return TreeReduce8(lane);
+}
+
+// ======================================================================
+// Models
+// ======================================================================
+//
+// A model is its element expressions: RowQuery (the per-element query
+// intermediate from the (h, r) rows), Term (one reduction term), Finish
+// (score from the sum) and Backward, over n elements. The query source
+// (the rows, or a buffer one Hoist filled) lets a tail-corrupt negative
+// reuse the positive's (h, r) intermediate through the same body.
+
+/// Per-element query intermediate; only ComplEx uses the second half.
+template <class V>
+struct Query {
+  V a;
+  V b;
+};
+
+/// Query source: the (h, r) rows themselves ...
+struct FromRows {
+  const float* h;
+  const float* r;
+};
+
+/// ... or the double buffers one Hoist filled from the reference rows.
+struct FromHoisted {
+  const double* a;
+  const double* b;
+};
+
+template <class V, class M>
+HETKG_LANES Query<V> At(const M& model, FromRows q, size_t j) {
+  return model.template RowQuery<V>(q, j);
+}
+template <class V, class M>
+HETKG_LANES Query<V> At(const M&, FromHoisted q, size_t j) {
+  return {Load<V>(q.a + j), Load<V>(q.b + j)};
+}
+
+/// The model's score of the triple with query source q and tail row t.
+template <class M, class Src>
+HETKG_LANES double ScoreOf(const M& model, const Src& q, const float* t) {
+  return model.Finish(
+      LaneSum(model.n, [&](auto x, size_t j) HETKG_LANES_LAMBDA {
+        return model.Term(At<decltype(x)>(model, q, j), t, j);
+      }));
+}
 
 // ---- TransE ----------------------------------------------------------
 // Canonical element term: e_j = (double(h_j) + r_j) - t_j.
 // Score: -sum |e| (L1) or -sqrt(sum e^2) (L2).
 
-void TransEHoist(std::span<const float> h, std::span<const float> r,
-                 std::vector<double>* hr) {
-  const size_t n = h.size();
-  if (hr->size() < n) hr->resize(n);
-  const float* __restrict__ hp = h.data();
-  const float* __restrict__ rp = r.data();
-  double* __restrict__ out = hr->data();
-  for (size_t j = 0; j < n; ++j) {
-    out[j] = static_cast<double>(hp[j]) + rp[j];
+template <int P>
+struct TransE {
+  static constexpr bool kPairQuery = false;
+  static constexpr bool kHoistsBackward = true;
+  size_t n;
+
+  template <class V>
+  HETKG_LANES Query<V> RowQuery(FromRows q, size_t j) const {
+    return {Load<V>(q.h + j) + Load<V>(q.r + j), V{}};
   }
-}
 
-double TransEReduceFull(int p, const float* __restrict__ h,
-                        const float* __restrict__ r,
-                        const float* __restrict__ t, size_t n) {
-  double lane[kLaneWidth] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t j = 0; j < n; ++j) {
-    const double e = (static_cast<double>(h[j]) + r[j]) - t[j];
-    lane[j % kLaneWidth] += p == 1 ? std::fabs(e) : e * e;
+  template <class V>
+  HETKG_LANES V Term(Query<V> q, const float* t, size_t j) const {
+    const V e = q.a - Load<V>(t + j);
+    return P == 1 ? Abs(e) : e * e;
   }
-  return TreeReduce8(lane);
-}
 
-double TransEReduceHoisted(int p, const double* __restrict__ hr,
-                           const float* __restrict__ t, size_t n) {
-  double lane[kLaneWidth] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t j = 0; j < n; ++j) {
-    const double e = hr[j] - t[j];
-    lane[j % kLaneWidth] += p == 1 ? std::fabs(e) : e * e;
-  }
-  return TreeReduce8(lane);
-}
+  double Finish(double acc) const { return P == 1 ? -acc : -std::sqrt(acc); }
 
-// Gradient application; coeff = -upstream (L1, multiplied by sign(e))
-// or -upstream/||e|| (L2, multiplied by e). The three updates run in
-// the same per-element order as the scalar API so aliased rows
-// (self-loop triples where gh and gt are the same row) stay identical.
-void TransEApplyFull(int p, double coeff, const float* h, const float* r,
-                     const float* t, float* gh, float* gr, float* gt,
-                     size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    const double e = (static_cast<double>(h[j]) + r[j]) - t[j];
-    const double v = p == 1 ? (e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0)) : e;
-    const float g = static_cast<float>(coeff * v);
-    gh[j] += g;
-    gr[j] += g;
-    gt[j] -= g;
-  }
-}
-
-void TransEApplyHoisted(int p, double coeff, const double* hr, const float* t,
-                        float* gh, float* gr, float* gt, size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    const double e = hr[j] - t[j];
-    const double v = p == 1 ? (e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0)) : e;
-    const float g = static_cast<float>(coeff * v);
-    gh[j] += g;
-    gr[j] += g;
-    gt[j] -= g;
-  }
-}
-
-#if HETKG_KERNELS_X86
-
-__attribute__((target("avx2"))) inline __m256d CvtLo(__m256 f) {
-  return _mm256_cvtps_pd(_mm256_castps256_ps128(f));
-}
-__attribute__((target("avx2"))) inline __m256d CvtHi(__m256 f) {
-  return _mm256_cvtps_pd(_mm256_extractf128_ps(f, 1));
-}
-
-__attribute__((target("avx2"))) double TransEReduceFullAvx2(
-    int p, const float* h, const float* r, const float* t, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  size_t j = 0;
-  for (; j + kLaneWidth <= n; j += kLaneWidth) {
-    const __m256 hf = _mm256_loadu_ps(h + j);
-    const __m256 rf = _mm256_loadu_ps(r + j);
-    const __m256 tf = _mm256_loadu_ps(t + j);
-    const __m256d e0 =
-        _mm256_sub_pd(_mm256_add_pd(CvtLo(hf), CvtLo(rf)), CvtLo(tf));
-    const __m256d e1 =
-        _mm256_sub_pd(_mm256_add_pd(CvtHi(hf), CvtHi(rf)), CvtHi(tf));
-    if (p == 1) {
-      acc0 = _mm256_add_pd(acc0, _mm256_and_pd(e0, abs_mask));
-      acc1 = _mm256_add_pd(acc1, _mm256_and_pd(e1, abs_mask));
-    } else {
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(e0, e0));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(e1, e1));
+  // Gradient application; coeff = -upstream (L1, multiplied by sign(e))
+  // or -upstream/||e|| (L2, multiplied by e). The three updates run in
+  // the same per-element order as the scalar API so aliased rows
+  // (self-loop triples where gh and gt are the same row) stay identical.
+  template <class Src>
+  HETKG_LANES void Backward(const Src& q, const TripleView& v,
+                            double upstream, const GradView& g) const {
+    const float* t = v.t.data();
+    // d(-|e|_1)/de_i = -sign(e_i).
+    double coeff = -upstream;
+    if constexpr (P == 2) {
+      // d(-||e||_2)/de_i = -e_i / ||e||_2, and the L2 score is -||e||_2.
+      const double norm = -ScoreOf(*this, q, t);
+      if (norm <= 1e-12) return;  // Gradient is zero at the exact minimum.
+      coeff = -upstream / norm;
     }
+    ForLanes<D4>(n, [&](auto x, size_t j) HETKG_LANES_LAMBDA {
+      using V = decltype(x);
+      const V e = At<V>(*this, q, j).a - Load<V>(t + j);
+      const auto gv = Narrow(coeff * (P == 1 ? Sign(e) : e));
+      using F = decltype(gv);
+      Store(g.h.data() + j, Load<F>(g.h.data() + j) + gv);
+      Store(g.r.data() + j, Load<F>(g.r.data() + j) + gv);
+      Store(g.t.data() + j, Load<F>(g.t.data() + j) - gv);
+    });
   }
-  double lane[kLaneWidth];
-  _mm256_storeu_pd(lane, acc0);
-  _mm256_storeu_pd(lane + 4, acc1);
-  for (size_t k = 0; j < n; ++j, ++k) {
-    const double e = (static_cast<double>(h[j]) + r[j]) - t[j];
-    lane[k] += p == 1 ? std::fabs(e) : e * e;
-  }
-  return TreeReduce8(lane);
-}
-
-__attribute__((target("avx2"))) double TransEReduceHoistedAvx2(
-    int p, const double* hr, const float* t, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  size_t j = 0;
-  for (; j + kLaneWidth <= n; j += kLaneWidth) {
-    const __m256 tf = _mm256_loadu_ps(t + j);
-    const __m256d e0 = _mm256_sub_pd(_mm256_loadu_pd(hr + j), CvtLo(tf));
-    const __m256d e1 = _mm256_sub_pd(_mm256_loadu_pd(hr + j + 4), CvtHi(tf));
-    if (p == 1) {
-      acc0 = _mm256_add_pd(acc0, _mm256_and_pd(e0, abs_mask));
-      acc1 = _mm256_add_pd(acc1, _mm256_and_pd(e1, abs_mask));
-    } else {
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(e0, e0));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(e1, e1));
-    }
-  }
-  double lane[kLaneWidth];
-  _mm256_storeu_pd(lane, acc0);
-  _mm256_storeu_pd(lane + 4, acc1);
-  for (size_t k = 0; j < n; ++j, ++k) {
-    const double e = hr[j] - t[j];
-    lane[k] += p == 1 ? std::fabs(e) : e * e;
-  }
-  return TreeReduce8(lane);
-}
-
-// sign(e) as (e > 0) - (e < 0) built from compare masks; multiplying by
-// the exact constants {1.0, -1.0, 0.0} matches the scalar branches.
-__attribute__((target("avx2"))) inline __m256d SignPd(__m256d e) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d pos =
-      _mm256_and_pd(_mm256_cmp_pd(e, zero, _CMP_GT_OQ), one);
-  const __m256d neg =
-      _mm256_and_pd(_mm256_cmp_pd(zero, e, _CMP_GT_OQ), one);
-  return _mm256_sub_pd(pos, neg);
-}
-
-__attribute__((target("avx2"))) void TransEApplyAvx2(
-    int p, double coeff, const double* hr_or_null, const float* h,
-    const float* r, const float* t, float* gh, float* gr, float* gt,
-    size_t n) {
-  const __m256d coeffv = _mm256_set1_pd(coeff);
-  size_t j = 0;
-  for (; j + kLaneWidth <= n; j += kLaneWidth) {
-    const __m256 tf = _mm256_loadu_ps(t + j);
-    __m256d e0, e1;
-    if (hr_or_null != nullptr) {
-      e0 = _mm256_sub_pd(_mm256_loadu_pd(hr_or_null + j), CvtLo(tf));
-      e1 = _mm256_sub_pd(_mm256_loadu_pd(hr_or_null + j + 4), CvtHi(tf));
-    } else {
-      const __m256 hf = _mm256_loadu_ps(h + j);
-      const __m256 rf = _mm256_loadu_ps(r + j);
-      e0 = _mm256_sub_pd(_mm256_add_pd(CvtLo(hf), CvtLo(rf)), CvtLo(tf));
-      e1 = _mm256_sub_pd(_mm256_add_pd(CvtHi(hf), CvtHi(rf)), CvtHi(tf));
-    }
-    const __m256d v0 = p == 1 ? SignPd(e0) : e0;
-    const __m256d v1 = p == 1 ? SignPd(e1) : e1;
-    const __m128 g0 = _mm256_cvtpd_ps(_mm256_mul_pd(coeffv, v0));
-    const __m128 g1 = _mm256_cvtpd_ps(_mm256_mul_pd(coeffv, v1));
-    const __m256 g8 = _mm256_set_m128(g1, g0);
-    _mm256_storeu_ps(gh + j, _mm256_add_ps(_mm256_loadu_ps(gh + j), g8));
-    _mm256_storeu_ps(gr + j, _mm256_add_ps(_mm256_loadu_ps(gr + j), g8));
-    _mm256_storeu_ps(gt + j, _mm256_sub_ps(_mm256_loadu_ps(gt + j), g8));
-  }
-  for (; j < n; ++j) {
-    const double e = hr_or_null != nullptr
-                         ? hr_or_null[j] - t[j]
-                         : (static_cast<double>(h[j]) + r[j]) - t[j];
-    const double v = p == 1 ? (e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0)) : e;
-    const float g = static_cast<float>(coeff * v);
-    gh[j] += g;
-    gr[j] += g;
-    gt[j] -= g;
-  }
-}
-
-#endif  // HETKG_KERNELS_X86
-
-double TransEReduceFullDispatch(int p, const float* h, const float* r,
-                                const float* t, size_t n) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    return TransEReduceFullAvx2(p, h, r, t, n);
-  }
-#endif
-  return TransEReduceFull(p, h, r, t, n);
-}
-
-double TransEReduceHoistedDispatch(int p, const double* hr, const float* t,
-                                   size_t n) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    return TransEReduceHoistedAvx2(p, hr, t, n);
-  }
-#endif
-  return TransEReduceHoisted(p, hr, t, n);
-}
-
-void TransEApplyDispatch(int p, double coeff, const double* hr_or_null,
-                         const float* h, const float* r, const float* t,
-                         float* gh, float* gr, float* gt, size_t n) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    TransEApplyAvx2(p, coeff, hr_or_null, h, r, t, gh, gr, gt, n);
-    return;
-  }
-#endif
-  if (hr_or_null != nullptr) {
-    TransEApplyHoisted(p, coeff, hr_or_null, t, gh, gr, gt, n);
-  } else {
-    TransEApplyFull(p, coeff, h, r, t, gh, gr, gt, n);
-  }
-}
+};
 
 // ---- DistMult --------------------------------------------------------
 // Canonical element term: (double(h_j) * r_j) * t_j.
 
-void DistMultHoist(std::span<const float> h, std::span<const float> r,
-                   std::vector<double>* hr) {
-  const size_t n = h.size();
-  if (hr->size() < n) hr->resize(n);
-  const float* __restrict__ hp = h.data();
-  const float* __restrict__ rp = r.data();
-  double* __restrict__ out = hr->data();
-  for (size_t j = 0; j < n; ++j) {
-    out[j] = static_cast<double>(hp[j]) * rp[j];
-  }
-}
+struct DistMult {
+  static constexpr bool kPairQuery = false;
+  // The DistMult gradient has no reusable (h, r) intermediate under the
+  // canonical association; each entry takes the full form.
+  static constexpr bool kHoistsBackward = false;
+  size_t n;
 
-double DistMultReduceFull(const float* __restrict__ h,
-                          const float* __restrict__ r,
-                          const float* __restrict__ t, size_t n) {
-  double lane[kLaneWidth] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t j = 0; j < n; ++j) {
-    lane[j % kLaneWidth] += (static_cast<double>(h[j]) * r[j]) * t[j];
+  template <class V>
+  HETKG_LANES Query<V> RowQuery(FromRows q, size_t j) const {
+    return {Load<V>(q.h + j) * Load<V>(q.r + j), V{}};
   }
-  return TreeReduce8(lane);
-}
 
-double DistMultReduceHoisted(const double* __restrict__ hr,
-                             const float* __restrict__ t, size_t n) {
-  double lane[kLaneWidth] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t j = 0; j < n; ++j) {
-    lane[j % kLaneWidth] += hr[j] * t[j];
+  template <class V>
+  HETKG_LANES V Term(Query<V> q, const float* t, size_t j) const {
+    return q.a * Load<V>(t + j);
   }
-  return TreeReduce8(lane);
-}
 
-void DistMultApply(double upstream, const float* h, const float* r,
-                   const float* t, float* gh, float* gr, float* gt,
-                   size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    gh[j] += static_cast<float>((upstream * r[j]) * t[j]);
-    gr[j] += static_cast<float>((upstream * h[j]) * t[j]);
-    gt[j] += static_cast<float>((upstream * h[j]) * r[j]);
-  }
-}
+  double Finish(double acc) const { return acc; }
 
-#if HETKG_KERNELS_X86
-
-__attribute__((target("avx2"))) double DistMultReduceFullAvx2(
-    const float* h, const float* r, const float* t, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + kLaneWidth <= n; j += kLaneWidth) {
-    const __m256 hf = _mm256_loadu_ps(h + j);
-    const __m256 rf = _mm256_loadu_ps(r + j);
-    const __m256 tf = _mm256_loadu_ps(t + j);
-    acc0 = _mm256_add_pd(
-        acc0, _mm256_mul_pd(_mm256_mul_pd(CvtLo(hf), CvtLo(rf)), CvtLo(tf)));
-    acc1 = _mm256_add_pd(
-        acc1, _mm256_mul_pd(_mm256_mul_pd(CvtHi(hf), CvtHi(rf)), CvtHi(tf)));
+  template <class Src>
+  HETKG_LANES void Backward(const Src&, const TripleView& v, double upstream,
+                            const GradView& g) const {
+    ForLanes<D4>(n, [&](auto x, size_t j) HETKG_LANES_LAMBDA {
+      using V = decltype(x);
+      const V h = Load<V>(v.h.data() + j);
+      const V r = Load<V>(v.r.data() + j);
+      const V t = Load<V>(v.t.data() + j);
+      using F = decltype(Narrow(h));
+      Store(g.h.data() + j,
+            Load<F>(g.h.data() + j) + Narrow((upstream * r) * t));
+      Store(g.r.data() + j,
+            Load<F>(g.r.data() + j) + Narrow((upstream * h) * t));
+      Store(g.t.data() + j,
+            Load<F>(g.t.data() + j) + Narrow((upstream * h) * r));
+    });
   }
-  double lane[kLaneWidth];
-  _mm256_storeu_pd(lane, acc0);
-  _mm256_storeu_pd(lane + 4, acc1);
-  for (size_t k = 0; j < n; ++j, ++k) {
-    lane[k] += (static_cast<double>(h[j]) * r[j]) * t[j];
-  }
-  return TreeReduce8(lane);
-}
-
-__attribute__((target("avx2"))) double DistMultReduceHoistedAvx2(
-    const double* hr, const float* t, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + kLaneWidth <= n; j += kLaneWidth) {
-    const __m256 tf = _mm256_loadu_ps(t + j);
-    acc0 = _mm256_add_pd(acc0,
-                         _mm256_mul_pd(_mm256_loadu_pd(hr + j), CvtLo(tf)));
-    acc1 = _mm256_add_pd(
-        acc1, _mm256_mul_pd(_mm256_loadu_pd(hr + j + 4), CvtHi(tf)));
-  }
-  double lane[kLaneWidth];
-  _mm256_storeu_pd(lane, acc0);
-  _mm256_storeu_pd(lane + 4, acc1);
-  for (size_t k = 0; j < n; ++j, ++k) {
-    lane[k] += hr[j] * t[j];
-  }
-  return TreeReduce8(lane);
-}
-
-__attribute__((target("avx2"))) void DistMultApplyAvx2(
-    double upstream, const float* h, const float* r, const float* t,
-    float* gh, float* gr, float* gt, size_t n) {
-  const __m256d uv = _mm256_set1_pd(upstream);
-  size_t j = 0;
-  for (; j + kLaneWidth <= n; j += kLaneWidth) {
-    const __m256 hf = _mm256_loadu_ps(h + j);
-    const __m256 rf = _mm256_loadu_ps(r + j);
-    const __m256 tf = _mm256_loadu_ps(t + j);
-    const __m256d h0 = CvtLo(hf), h1 = CvtHi(hf);
-    const __m256d r0 = CvtLo(rf), r1 = CvtHi(rf);
-    const __m256d t0 = CvtLo(tf), t1 = CvtHi(tf);
-    const __m256 ghd = _mm256_set_m128(
-        _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_mul_pd(uv, r1), t1)),
-        _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_mul_pd(uv, r0), t0)));
-    const __m256 grd = _mm256_set_m128(
-        _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_mul_pd(uv, h1), t1)),
-        _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_mul_pd(uv, h0), t0)));
-    const __m256 gtd = _mm256_set_m128(
-        _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_mul_pd(uv, h1), r1)),
-        _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_mul_pd(uv, h0), r0)));
-    _mm256_storeu_ps(gh + j, _mm256_add_ps(_mm256_loadu_ps(gh + j), ghd));
-    _mm256_storeu_ps(gr + j, _mm256_add_ps(_mm256_loadu_ps(gr + j), grd));
-    _mm256_storeu_ps(gt + j, _mm256_add_ps(_mm256_loadu_ps(gt + j), gtd));
-  }
-  for (; j < n; ++j) {
-    gh[j] += static_cast<float>((upstream * r[j]) * t[j]);
-    gr[j] += static_cast<float>((upstream * h[j]) * t[j]);
-    gt[j] += static_cast<float>((upstream * h[j]) * r[j]);
-  }
-}
-
-#endif  // HETKG_KERNELS_X86
-
-double DistMultReduceFullDispatch(const float* h, const float* r,
-                                  const float* t, size_t n) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    return DistMultReduceFullAvx2(h, r, t, n);
-  }
-#endif
-  return DistMultReduceFull(h, r, t, n);
-}
-
-double DistMultReduceHoistedDispatch(const double* hr, const float* t,
-                                     size_t n) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    return DistMultReduceHoistedAvx2(hr, t, n);
-  }
-#endif
-  return DistMultReduceHoisted(hr, t, n);
-}
-
-void DistMultApplyDispatch(double upstream, const float* h, const float* r,
-                           const float* t, float* gh, float* gr, float* gt,
-                           size_t n) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    DistMultApplyAvx2(upstream, h, r, t, gh, gr, gt, n);
-    return;
-  }
-#endif
-  DistMultApply(upstream, h, r, t, gh, gr, gt, n);
-}
+};
 
 // ---- ComplEx ---------------------------------------------------------
-// Rows store [real; imag] halves of length m = dim/2. Canonical score
-// term groups by the tail (the h∘r complex product):
+// Rows store [real; imag] halves of length m = dim/2 (the model's n).
+// Canonical score term groups by the tail (the h∘r complex product):
 //   A_j = (double(hRe_j) * rRe_j) - (double(hIm_j) * rIm_j)
 //   B_j = (double(hIm_j) * rRe_j) + (double(hRe_j) * rIm_j)
 //   term_j = (A_j * tRe_j) + (B_j * tIm_j)
 
-void ComplExHoist(std::span<const float> h, std::span<const float> r,
-                  std::vector<double>* a, std::vector<double>* b) {
-  const size_t m = h.size() / 2;
-  if (a->size() < m) a->resize(m);
-  if (b->size() < m) b->resize(m);
-  const float* __restrict__ hre = h.data();
-  const float* __restrict__ him = h.data() + m;
-  const float* __restrict__ rre = r.data();
-  const float* __restrict__ rim = r.data() + m;
-  double* __restrict__ A = a->data();
-  double* __restrict__ B = b->data();
-  for (size_t j = 0; j < m; ++j) {
-    A[j] = (static_cast<double>(hre[j]) * rre[j]) -
-           (static_cast<double>(him[j]) * rim[j]);
-    B[j] = (static_cast<double>(him[j]) * rre[j]) +
-           (static_cast<double>(hre[j]) * rim[j]);
-  }
-}
+struct ComplEx {
+  static constexpr bool kPairQuery = true;
+  // Backward keeps the scalar API's float expression trees; there is no
+  // double-precision intermediate to reuse.
+  static constexpr bool kHoistsBackward = false;
+  size_t n;
 
-double ComplExReduceFull(const float* __restrict__ hre,
-                         const float* __restrict__ him,
-                         const float* __restrict__ rre,
-                         const float* __restrict__ rim,
-                         const float* __restrict__ tre,
-                         const float* __restrict__ tim, size_t m) {
-  double lane[kLaneWidth] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t j = 0; j < m; ++j) {
-    const double a = (static_cast<double>(hre[j]) * rre[j]) -
-                     (static_cast<double>(him[j]) * rim[j]);
-    const double b = (static_cast<double>(him[j]) * rre[j]) +
-                     (static_cast<double>(hre[j]) * rim[j]);
-    lane[j % kLaneWidth] += (a * tre[j]) + (b * tim[j]);
+  template <class V>
+  HETKG_LANES Query<V> RowQuery(FromRows q, size_t j) const {
+    const V hre = Load<V>(q.h + j);
+    const V him = Load<V>(q.h + n + j);
+    const V rre = Load<V>(q.r + j);
+    const V rim = Load<V>(q.r + n + j);
+    return {(hre * rre) - (him * rim), (him * rre) + (hre * rim)};
   }
-  return TreeReduce8(lane);
-}
 
-double ComplExReduceHoisted(const double* __restrict__ A,
-                            const double* __restrict__ B,
-                            const float* __restrict__ tre,
-                            const float* __restrict__ tim, size_t m) {
-  double lane[kLaneWidth] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t j = 0; j < m; ++j) {
-    lane[j % kLaneWidth] += (A[j] * tre[j]) + (B[j] * tim[j]);
+  template <class V>
+  HETKG_LANES V Term(Query<V> q, const float* t, size_t j) const {
+    return (q.a * Load<V>(t + j)) + (q.b * Load<V>(t + n + j));
   }
-  return TreeReduce8(lane);
-}
 
-// Backward keeps the scalar API's single-precision expression trees.
-void ComplExApply(float u, const float* hre, const float* him,
-                  const float* rre, const float* rim, const float* tre,
-                  const float* tim, float* ghre, float* ghim, float* grre,
-                  float* grim, float* gtre, float* gtim, size_t m) {
-  for (size_t j = 0; j < m; ++j) {
-    ghre[j] += u * (rre[j] * tre[j] + rim[j] * tim[j]);
-    ghim[j] += u * (rre[j] * tim[j] - rim[j] * tre[j]);
-    grre[j] += u * (hre[j] * tre[j] + him[j] * tim[j]);
-    grim[j] += u * (hre[j] * tim[j] - him[j] * tre[j]);
-    gtre[j] += u * (hre[j] * rre[j] - him[j] * rim[j]);
-    gtim[j] += u * (him[j] * rre[j] + hre[j] * rim[j]);
-  }
-}
+  double Finish(double acc) const { return acc; }
 
-#if HETKG_KERNELS_X86
+  template <class Src>
+  HETKG_LANES void Backward(const Src&, const TripleView& v, double upstream,
+                            const GradView& g) const {
+    const float u = static_cast<float>(upstream);
+    ForLanes<F8>(n, [&](auto x, size_t j) HETKG_LANES_LAMBDA {
+      using V = decltype(x);
+      const V hre = Load<V>(v.h.data() + j);
+      const V him = Load<V>(v.h.data() + n + j);
+      const V rre = Load<V>(v.r.data() + j);
+      const V rim = Load<V>(v.r.data() + n + j);
+      const V tre = Load<V>(v.t.data() + j);
+      const V tim = Load<V>(v.t.data() + n + j);
+      const auto add = [&](float* p, V d) HETKG_LANES_LAMBDA {
+        Store(p + j, Load<V>(p + j) + u * d);
+      };
+      add(g.h.data(), rre * tre + rim * tim);
+      add(g.h.data() + n, rre * tim - rim * tre);
+      add(g.r.data(), hre * tre + him * tim);
+      add(g.r.data() + n, hre * tim - him * tre);
+      add(g.t.data(), hre * rre - him * rim);
+      add(g.t.data() + n, him * rre + hre * rim);
+    });
+  }
+};
 
-__attribute__((target("avx2"))) double ComplExReduceFullAvx2(
-    const float* hre, const float* him, const float* rre, const float* rim,
-    const float* tre, const float* tim, size_t m) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + kLaneWidth <= m; j += kLaneWidth) {
-    const __m256 href = _mm256_loadu_ps(hre + j);
-    const __m256 himf = _mm256_loadu_ps(him + j);
-    const __m256 rref = _mm256_loadu_ps(rre + j);
-    const __m256 rimf = _mm256_loadu_ps(rim + j);
-    const __m256 tref = _mm256_loadu_ps(tre + j);
-    const __m256 timf = _mm256_loadu_ps(tim + j);
-    const __m256d a0 =
-        _mm256_sub_pd(_mm256_mul_pd(CvtLo(href), CvtLo(rref)),
-                      _mm256_mul_pd(CvtLo(himf), CvtLo(rimf)));
-    const __m256d a1 =
-        _mm256_sub_pd(_mm256_mul_pd(CvtHi(href), CvtHi(rref)),
-                      _mm256_mul_pd(CvtHi(himf), CvtHi(rimf)));
-    const __m256d b0 =
-        _mm256_add_pd(_mm256_mul_pd(CvtLo(himf), CvtLo(rref)),
-                      _mm256_mul_pd(CvtLo(href), CvtLo(rimf)));
-    const __m256d b1 =
-        _mm256_add_pd(_mm256_mul_pd(CvtHi(himf), CvtHi(rref)),
-                      _mm256_mul_pd(CvtHi(href), CvtHi(rimf)));
-    acc0 = _mm256_add_pd(
-        acc0, _mm256_add_pd(_mm256_mul_pd(a0, CvtLo(tref)),
-                            _mm256_mul_pd(b0, CvtLo(timf))));
-    acc1 = _mm256_add_pd(
-        acc1, _mm256_add_pd(_mm256_mul_pd(a1, CvtHi(tref)),
-                            _mm256_mul_pd(b1, CvtHi(timf))));
-  }
-  double lane[kLaneWidth];
-  _mm256_storeu_pd(lane, acc0);
-  _mm256_storeu_pd(lane + 4, acc1);
-  for (size_t k = 0; j < m; ++j, ++k) {
-    const double a = (static_cast<double>(hre[j]) * rre[j]) -
-                     (static_cast<double>(him[j]) * rim[j]);
-    const double b = (static_cast<double>(him[j]) * rre[j]) +
-                     (static_cast<double>(hre[j]) * rim[j]);
-    lane[k] += (a * tre[j]) + (b * tim[j]);
-  }
-  return TreeReduce8(lane);
-}
-
-__attribute__((target("avx2"))) double ComplExReduceHoistedAvx2(
-    const double* A, const double* B, const float* tre, const float* tim,
-    size_t m) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + kLaneWidth <= m; j += kLaneWidth) {
-    const __m256 tref = _mm256_loadu_ps(tre + j);
-    const __m256 timf = _mm256_loadu_ps(tim + j);
-    acc0 = _mm256_add_pd(
-        acc0,
-        _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(A + j), CvtLo(tref)),
-                      _mm256_mul_pd(_mm256_loadu_pd(B + j), CvtLo(timf))));
-    acc1 = _mm256_add_pd(
-        acc1,
-        _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(A + j + 4), CvtHi(tref)),
-                      _mm256_mul_pd(_mm256_loadu_pd(B + j + 4), CvtHi(timf))));
-  }
-  double lane[kLaneWidth];
-  _mm256_storeu_pd(lane, acc0);
-  _mm256_storeu_pd(lane + 4, acc1);
-  for (size_t k = 0; j < m; ++j, ++k) {
-    lane[k] += (A[j] * tre[j]) + (B[j] * tim[j]);
-  }
-  return TreeReduce8(lane);
-}
-
-__attribute__((target("avx2"))) void ComplExApplyAvx2(
-    float u, const float* hre, const float* him, const float* rre,
-    const float* rim, const float* tre, const float* tim, float* ghre,
-    float* ghim, float* grre, float* grim, float* gtre, float* gtim,
-    size_t m) {
-  const __m256 uv = _mm256_set1_ps(u);
-  size_t j = 0;
-  for (; j + kLaneWidth <= m; j += kLaneWidth) {
-    const __m256 href = _mm256_loadu_ps(hre + j);
-    const __m256 himf = _mm256_loadu_ps(him + j);
-    const __m256 rref = _mm256_loadu_ps(rre + j);
-    const __m256 rimf = _mm256_loadu_ps(rim + j);
-    const __m256 tref = _mm256_loadu_ps(tre + j);
-    const __m256 timf = _mm256_loadu_ps(tim + j);
-    _mm256_storeu_ps(
-        ghre + j,
-        _mm256_add_ps(_mm256_loadu_ps(ghre + j),
-                      _mm256_mul_ps(uv, _mm256_add_ps(
-                                            _mm256_mul_ps(rref, tref),
-                                            _mm256_mul_ps(rimf, timf)))));
-    _mm256_storeu_ps(
-        ghim + j,
-        _mm256_add_ps(_mm256_loadu_ps(ghim + j),
-                      _mm256_mul_ps(uv, _mm256_sub_ps(
-                                            _mm256_mul_ps(rref, timf),
-                                            _mm256_mul_ps(rimf, tref)))));
-    _mm256_storeu_ps(
-        grre + j,
-        _mm256_add_ps(_mm256_loadu_ps(grre + j),
-                      _mm256_mul_ps(uv, _mm256_add_ps(
-                                            _mm256_mul_ps(href, tref),
-                                            _mm256_mul_ps(himf, timf)))));
-    _mm256_storeu_ps(
-        grim + j,
-        _mm256_add_ps(_mm256_loadu_ps(grim + j),
-                      _mm256_mul_ps(uv, _mm256_sub_ps(
-                                            _mm256_mul_ps(href, timf),
-                                            _mm256_mul_ps(himf, tref)))));
-    _mm256_storeu_ps(
-        gtre + j,
-        _mm256_add_ps(_mm256_loadu_ps(gtre + j),
-                      _mm256_mul_ps(uv, _mm256_sub_ps(
-                                            _mm256_mul_ps(href, rref),
-                                            _mm256_mul_ps(himf, rimf)))));
-    _mm256_storeu_ps(
-        gtim + j,
-        _mm256_add_ps(_mm256_loadu_ps(gtim + j),
-                      _mm256_mul_ps(uv, _mm256_add_ps(
-                                            _mm256_mul_ps(himf, rref),
-                                            _mm256_mul_ps(href, rimf)))));
-  }
-  for (; j < m; ++j) {
-    ghre[j] += u * (rre[j] * tre[j] + rim[j] * tim[j]);
-    ghim[j] += u * (rre[j] * tim[j] - rim[j] * tre[j]);
-    grre[j] += u * (hre[j] * tre[j] + him[j] * tim[j]);
-    grim[j] += u * (hre[j] * tim[j] - him[j] * tre[j]);
-    gtre[j] += u * (hre[j] * rre[j] - him[j] * rim[j]);
-    gtim[j] += u * (him[j] * rre[j] + hre[j] * rim[j]);
-  }
-}
-
-#endif  // HETKG_KERNELS_X86
-
-double ComplExReduceFullDispatch(const float* hre, const float* him,
-                                 const float* rre, const float* rim,
-                                 const float* tre, const float* tim,
-                                 size_t m) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    return ComplExReduceFullAvx2(hre, him, rre, rim, tre, tim, m);
-  }
-#endif
-  return ComplExReduceFull(hre, him, rre, rim, tre, tim, m);
-}
-
-double ComplExReduceHoistedDispatch(const double* A, const double* B,
-                                    const float* tre, const float* tim,
-                                    size_t m) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    return ComplExReduceHoistedAvx2(A, B, tre, tim, m);
-  }
-#endif
-  return ComplExReduceHoisted(A, B, tre, tim, m);
-}
-
-void ComplExApplyDispatch(float u, const float* hre, const float* him,
-                          const float* rre, const float* rim,
-                          const float* tre, const float* tim, float* ghre,
-                          float* ghim, float* grre, float* grim, float* gtre,
-                          float* gtim, size_t m) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    ComplExApplyAvx2(u, hre, him, rre, rim, tre, tim, ghre, ghim, grre, grim,
-                     gtre, gtim, m);
-    return;
-  }
-#endif
-  ComplExApply(u, hre, him, rre, rim, tre, tim, ghre, ghim, grre, grim, gtre,
-               gtim, m);
-}
+// ======================================================================
+// Bodies
+// ======================================================================
 
 /// True when `v` can reuse a query intermediate hoisted from `ref`
 /// (same head and relation ROWS — detected by storage identity, which
@@ -818,334 +460,247 @@ bool SharesQuery(const TripleView& v, const TripleView& ref) {
   return v.h.data() == ref.h.data() && v.r.data() == ref.r.data();
 }
 
+template <class M>
+HETKG_LANES FromHoisted Hoist(const M& model, const TripleView& ref,
+                              KernelScratch* scratch) {
+  if (scratch->a.size() < model.n) scratch->a.resize(model.n);
+  if (M::kPairQuery && scratch->b.size() < model.n) scratch->b.resize(model.n);
+  double* a = scratch->a.data();
+  double* b = M::kPairQuery ? scratch->b.data() : a;
+  const FromRows rows{ref.h.data(), ref.r.data()};
+  ForLanes<D4>(model.n, [&](auto x, size_t j) HETKG_LANES_LAMBDA {
+    const auto q = At<decltype(x)>(model, rows, j);
+    Store(a + j, q.a);
+    if constexpr (M::kPairQuery) Store(b + j, q.b);
+  });
+  return {a, b};
+}
+
+/// Calls f(k, source) for each triple in order. Triples sharing (h, r)
+/// with `ref` read one intermediate hoisted into `scratch`; the rest
+/// read their rows. A null scratch makes this the per-triple loop.
+template <class M, class F>
+HETKG_LANES void ForEachQuery(const M& model, const TripleView& ref,
+                              std::span<const TripleView> triples,
+                              KernelScratch* scratch, F&& f) {
+  std::optional<FromHoisted> hoisted;
+  for (size_t k = 0; k < triples.size(); ++k) {
+    const TripleView& v = triples[k];
+    if (scratch != nullptr && SharesQuery(v, ref)) {
+      if (!hoisted) hoisted = Hoist(model, ref, scratch);
+      f(k, *hoisted);
+    } else {
+      f(k, FromRows{v.h.data(), v.r.data()});
+    }
+  }
+}
+
+template <class M>
+HETKG_LANES void ScoreBody(const M& model, const TripleView& ref,
+                           std::span<const TripleView> triples,
+                           std::span<double> scores, KernelScratch* scratch) {
+  ForEachQuery(model, ref, triples, scratch,
+               [&](size_t k, const auto& q) HETKG_LANES_LAMBDA {
+                 scores[k] = ScoreOf(model, q, triples[k].t.data());
+               });
+}
+
+template <class M>
+HETKG_LANES void BackwardBody(const M& model, const TripleView& v,
+                              double upstream, const GradView& g) {
+  model.Backward(FromRows{v.h.data(), v.r.data()}, v, upstream, g);
+}
+
+// Entries with a zero upstream are skipped; only a model whose gradient
+// reads the query intermediate hoists it.
+template <class M>
+HETKG_LANES void BackwardBatchBody(const M& model, const TripleView& ref,
+                                   std::span<const TripleView> triples,
+                                   std::span<const double> upstreams,
+                                   std::span<const GradView> grads,
+                                   KernelScratch* scratch) {
+  ForEachQuery(model, ref, triples, M::kHoistsBackward ? scratch : nullptr,
+               [&](size_t k, const auto& q) HETKG_LANES_LAMBDA {
+                 if (upstreams[k] == 0.0) return;
+                 model.Backward(q, triples[k], upstreams[k], grads[k]);
+               });
+}
+
+// IEEE sqrt and divide are correctly rounded, so this is bit-identical
+// to AdaGrad::Apply's scalar loop; no rsqrt approximation is allowed.
+HETKG_LANES void AdaGradRowBody(float* row, const float* grad, float* acc,
+                                size_t n, double lr, double eps) {
+  ForLanes<D4>(n, [&](auto x, size_t j) HETKG_LANES_LAMBDA {
+    using V = decltype(x);
+    const V g = Load<V>(grad + j);
+    using F = decltype(Narrow(g));
+    const F a = Load<F>(acc + j) + Narrow(g * g);
+    Store(acc + j, a);
+    Store(row + j, Load<F>(row + j) - Narrow(lr * g / Sqrt(Widen(a) + eps)));
+  });
+}
+
+// int8 dequantize: v = min + q * scale, explicit mul then add (never an
+// FMA) so every build matches the scalar expression.
+HETKG_LANES void DecodeInt8Body(const uint8_t* q, float scale, float min,
+                                float* dst, size_t n) {
+  ForLanes<F8>(n, [&](auto x, size_t j) HETKG_LANES_LAMBDA {
+    Store(dst + j, Load<decltype(x)>(q + j) * scale + min);
+  });
+}
+
+// ======================================================================
+// The two builds
+// ======================================================================
+//
+// TwoTargets<Body> wraps one always_inline body twice: Base, compiled
+// for baseline x86-64, and Avx2, compiled under target("avx2"); each is
+// a whole copy of the body. Kernels() hands out the table of one build
+// per ActivePath().
+
+#if HETKG_KERNELS_X86
+#define HETKG_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define HETKG_TARGET_AVX2  // Never selected: no CPU here reports AVX2.
+#endif
+
+template <auto Body>
+struct TwoTargets;
+template <class... A, void (*Body)(A...)>
+struct TwoTargets<Body> {
+  static void Base(A... a) { Body(a...); }
+  HETKG_TARGET_AVX2 static void Avx2(A... a) { Body(a...); }
+};
+
+template <bool kAvx2, auto Body>
+constexpr auto Build() {
+  return kAvx2 ? &TwoTargets<Body>::Avx2 : &TwoTargets<Body>::Base;
+}
+
+template <class M>
+struct ModelKernels {
+  decltype(Build<false, &ScoreBody<M>>()) score;
+  decltype(Build<false, &BackwardBody<M>>()) backward;
+  decltype(Build<false, &BackwardBatchBody<M>>()) backward_batch;
+};
+
+template <bool kAvx2, class M>
+constexpr ModelKernels<M> kModelKernels = {
+    Build<kAvx2, &ScoreBody<M>>(), Build<kAvx2, &BackwardBody<M>>(),
+    Build<kAvx2, &BackwardBatchBody<M>>()};
+
+struct KernelTable {
+  ModelKernels<TransE<1>> transe_l1;
+  ModelKernels<TransE<2>> transe_l2;
+  ModelKernels<DistMult> distmult;
+  ModelKernels<ComplEx> complex;
+  decltype(Build<false, &AdaGradRowBody>()) adagrad_row;
+  decltype(Build<false, &DecodeInt8Body>()) decode_int8;
+};
+
+template <bool kAvx2>
+constexpr KernelTable kTable = {
+    kModelKernels<kAvx2, TransE<1>>, kModelKernels<kAvx2, TransE<2>>,
+    kModelKernels<kAvx2, DistMult>,  kModelKernels<kAvx2, ComplEx>,
+    Build<kAvx2, &AdaGradRowBody>(), Build<kAvx2, &DecodeInt8Body>()};
+
+const KernelTable& Kernels() {
+  return ActivePath() == KernelPath::kAvx2 ? kTable<true> : kTable<false>;
+}
+
+/// The scalar path loops the per-triple kernels: no hoisted scratch.
+KernelScratch* BatchScratch(KernelScratch* scratch) {
+  return UseVectorPath() ? scratch : nullptr;
+}
+
+/// Calls f(entries, model) with the active build's entries for `kind`
+/// and its model for rows of `dim` floats.
+template <class F>
+void WithModel(ModelKind kind, size_t dim, F&& f) {
+  const KernelTable& k = Kernels();
+  switch (kind) {
+    case ModelKind::kTransEL1:
+      return f(k.transe_l1, TransE<1>{dim});
+    case ModelKind::kTransEL2:
+      return f(k.transe_l2, TransE<2>{dim});
+    case ModelKind::kDistMult:
+      return f(k.distmult, DistMult{dim});
+    case ModelKind::kComplEx:
+      assert(dim % 2 == 0);
+      return f(k.complex, ComplEx{dim / 2});
+    default:
+      assert(false && "no kernel for this model");
+  }
+}
+
 }  // namespace
 
 // ======================================================================
-// Canonical per-triple kernels (the scalar ScoreFunction API)
+// Score kernels
 // ======================================================================
 
-double TransEScore(int p, std::span<const float> h, std::span<const float> r,
-                   std::span<const float> t) {
-  assert(h.size() == r.size() && h.size() == t.size());
-  const double acc = TransEReduceFullDispatch(p, h.data(), r.data(), t.data(),
-                                              h.size());
-  return p == 1 ? -acc : -std::sqrt(acc);
+double Score(ModelKind kind, const TripleView& v) {
+  assert(v.h.size() == v.r.size() && v.h.size() == v.t.size());
+  double score = 0.0;
+  WithModel(kind, v.h.size(), [&](const auto& k, const auto& model) {
+    k.score(model, v, {&v, 1}, {&score, 1}, nullptr);
+  });
+  return score;
 }
 
-void TransEScoreBackward(int p, std::span<const float> h,
-                         std::span<const float> r, std::span<const float> t,
-                         double upstream, std::span<float> gh,
-                         std::span<float> gr, std::span<float> gt) {
-  assert(h.size() == r.size() && h.size() == t.size());
-  assert(gh.size() == h.size() && gr.size() == r.size() &&
-         gt.size() == t.size());
-  const size_t n = h.size();
-  if (p == 1) {
-    // d(-|e|_1)/de_i = -sign(e_i).
-    TransEApplyDispatch(1, -upstream, nullptr, h.data(), r.data(), t.data(),
-                        gh.data(), gr.data(), gt.data(), n);
-    return;
-  }
-  // d(-||e||_2)/de_i = -e_i / ||e||_2.
-  const double norm =
-      std::sqrt(TransEReduceFullDispatch(2, h.data(), r.data(), t.data(), n));
-  if (norm <= 1e-12) return;  // Gradient is zero at the exact minimum.
-  TransEApplyDispatch(2, -upstream / norm, nullptr, h.data(), r.data(),
-                      t.data(), gh.data(), gr.data(), gt.data(), n);
+void ScoreBackward(ModelKind kind, const TripleView& v, double upstream,
+                   const GradView& g) {
+  assert(v.h.size() == v.r.size() && v.h.size() == v.t.size());
+  assert(g.h.size() == v.h.size() && g.r.size() == v.r.size() &&
+         g.t.size() == v.t.size());
+  WithModel(kind, v.h.size(), [&](const auto& k, const auto& model) {
+    k.backward(model, v, upstream, g);
+  });
 }
 
-double DistMultScore(std::span<const float> h, std::span<const float> r,
-                     std::span<const float> t) {
-  assert(h.size() == r.size() && h.size() == t.size());
-  return DistMultReduceFullDispatch(h.data(), r.data(), t.data(), h.size());
-}
-
-void DistMultScoreBackward(std::span<const float> h, std::span<const float> r,
-                           std::span<const float> t, double upstream,
-                           std::span<float> gh, std::span<float> gr,
-                           std::span<float> gt) {
-  assert(h.size() == r.size() && h.size() == t.size());
-  DistMultApplyDispatch(upstream, h.data(), r.data(), t.data(), gh.data(),
-                        gr.data(), gt.data(), h.size());
-}
-
-double ComplExScore(std::span<const float> h, std::span<const float> r,
-                    std::span<const float> t) {
-  assert(h.size() % 2 == 0);
-  assert(h.size() == r.size() && h.size() == t.size());
-  const size_t m = h.size() / 2;
-  return ComplExReduceFullDispatch(h.data(), h.data() + m, r.data(),
-                                   r.data() + m, t.data(), t.data() + m, m);
-}
-
-void ComplExScoreBackward(std::span<const float> h, std::span<const float> r,
-                          std::span<const float> t, double upstream,
-                          std::span<float> gh, std::span<float> gr,
-                          std::span<float> gt) {
-  assert(h.size() % 2 == 0);
-  const size_t m = h.size() / 2;
-  ComplExApplyDispatch(static_cast<float>(upstream), h.data(), h.data() + m,
-                       r.data(), r.data() + m, t.data(), t.data() + m,
-                       gh.data(), gh.data() + m, gr.data(), gr.data() + m,
-                       gt.data(), gt.data() + m, m);
-}
-
-// ======================================================================
-// Batched kernels
-// ======================================================================
-
-void TransEScoreBatch(int p, const TripleView& ref,
-                      std::span<const TripleView> triples,
-                      std::span<double> scores, KernelScratch* scratch) {
+void ScoreBatch(ModelKind kind, const TripleView& ref,
+                std::span<const TripleView> triples, std::span<double> scores,
+                KernelScratch* scratch) {
   assert(scores.size() == triples.size());
-  if (!UseVectorPath() || scratch == nullptr) {
-    for (size_t k = 0; k < triples.size(); ++k) {
-      scores[k] = TransEScore(p, triples[k].h, triples[k].r, triples[k].t);
-    }
-    return;
-  }
-  bool hoisted = false;
-  for (size_t k = 0; k < triples.size(); ++k) {
-    const TripleView& v = triples[k];
-    const size_t n = v.h.size();
-    double acc;
-    if (SharesQuery(v, ref)) {
-      if (!hoisted) {
-        TransEHoist(ref.h, ref.r, &scratch->a);
-        hoisted = true;
-      }
-      acc = TransEReduceHoistedDispatch(p, scratch->a.data(), v.t.data(), n);
-    } else {
-      acc = TransEReduceFullDispatch(p, v.h.data(), v.r.data(), v.t.data(), n);
-    }
-    scores[k] = p == 1 ? -acc : -std::sqrt(acc);
-  }
+  WithModel(kind, ref.h.size(), [&](const auto& k, const auto& model) {
+    k.score(model, ref, triples, scores, BatchScratch(scratch));
+  });
 }
 
-void TransEScoreBackwardBatch(int p, const TripleView& ref,
-                              std::span<const TripleView> triples,
-                              std::span<const double> upstreams,
-                              std::span<const GradView> grads,
-                              KernelScratch* scratch) {
-  assert(upstreams.size() == triples.size() &&
-         grads.size() == triples.size());
-  if (!UseVectorPath() || scratch == nullptr) {
-    for (size_t k = 0; k < triples.size(); ++k) {
-      if (upstreams[k] == 0.0) continue;
-      TransEScoreBackward(p, triples[k].h, triples[k].r, triples[k].t,
-                          upstreams[k], grads[k].h, grads[k].r, grads[k].t);
-    }
-    return;
-  }
-  bool hoisted = false;
-  for (size_t k = 0; k < triples.size(); ++k) {
-    if (upstreams[k] == 0.0) continue;
-    const TripleView& v = triples[k];
-    const GradView& g = grads[k];
-    const size_t n = v.h.size();
-    const double* hr = nullptr;
-    if (SharesQuery(v, ref)) {
-      if (!hoisted) {
-        TransEHoist(ref.h, ref.r, &scratch->a);
-        hoisted = true;
-      }
-      hr = scratch->a.data();
-    }
-    if (p == 1) {
-      TransEApplyDispatch(1, -upstreams[k], hr, v.h.data(), v.r.data(),
-                          v.t.data(), g.h.data(), g.r.data(), g.t.data(), n);
-      continue;
-    }
-    const double norm = std::sqrt(
-        hr != nullptr
-            ? TransEReduceHoistedDispatch(2, hr, v.t.data(), n)
-            : TransEReduceFullDispatch(2, v.h.data(), v.r.data(), v.t.data(),
-                                       n));
-    if (norm <= 1e-12) continue;  // Zero gradient at the exact minimum.
-    TransEApplyDispatch(2, -upstreams[k] / norm, hr, v.h.data(), v.r.data(),
-                        v.t.data(), g.h.data(), g.r.data(), g.t.data(), n);
-  }
-}
-
-void DistMultScoreBatch(const TripleView& ref,
+void ScoreBackwardBatch(ModelKind kind, const TripleView& ref,
                         std::span<const TripleView> triples,
-                        std::span<double> scores, KernelScratch* scratch) {
-  assert(scores.size() == triples.size());
-  if (!UseVectorPath() || scratch == nullptr) {
-    for (size_t k = 0; k < triples.size(); ++k) {
-      scores[k] = DistMultScore(triples[k].h, triples[k].r, triples[k].t);
-    }
-    return;
-  }
-  bool hoisted = false;
-  for (size_t k = 0; k < triples.size(); ++k) {
-    const TripleView& v = triples[k];
-    const size_t n = v.h.size();
-    if (SharesQuery(v, ref)) {
-      if (!hoisted) {
-        DistMultHoist(ref.h, ref.r, &scratch->a);
-        hoisted = true;
-      }
-      scores[k] =
-          DistMultReduceHoistedDispatch(scratch->a.data(), v.t.data(), n);
-    } else {
-      scores[k] =
-          DistMultReduceFullDispatch(v.h.data(), v.r.data(), v.t.data(), n);
-    }
-  }
-}
-
-void DistMultScoreBackwardBatch(const TripleView& ref,
-                                std::span<const TripleView> triples,
-                                std::span<const double> upstreams,
-                                std::span<const GradView> grads,
-                                KernelScratch* scratch) {
-  (void)ref;
-  (void)scratch;
+                        std::span<const double> upstreams,
+                        std::span<const GradView> grads,
+                        KernelScratch* scratch) {
   assert(upstreams.size() == triples.size() &&
          grads.size() == triples.size());
-  // The DistMult gradient has no reusable (h, r) intermediate under the
-  // canonical association; each entry takes the vectorized full form.
-  for (size_t k = 0; k < triples.size(); ++k) {
-    if (upstreams[k] == 0.0) continue;
-    const TripleView& v = triples[k];
-    const GradView& g = grads[k];
-    DistMultApplyDispatch(upstreams[k], v.h.data(), v.r.data(), v.t.data(),
-                          g.h.data(), g.r.data(), g.t.data(), v.h.size());
-  }
-}
-
-void ComplExScoreBatch(const TripleView& ref,
-                       std::span<const TripleView> triples,
-                       std::span<double> scores, KernelScratch* scratch) {
-  assert(scores.size() == triples.size());
-  if (!UseVectorPath() || scratch == nullptr) {
-    for (size_t k = 0; k < triples.size(); ++k) {
-      scores[k] = ComplExScore(triples[k].h, triples[k].r, triples[k].t);
-    }
-    return;
-  }
-  bool hoisted = false;
-  for (size_t k = 0; k < triples.size(); ++k) {
-    const TripleView& v = triples[k];
-    const size_t m = v.h.size() / 2;
-    if (SharesQuery(v, ref)) {
-      if (!hoisted) {
-        ComplExHoist(ref.h, ref.r, &scratch->a, &scratch->b);
-        hoisted = true;
-      }
-      scores[k] =
-          ComplExReduceHoistedDispatch(scratch->a.data(), scratch->b.data(),
-                                       v.t.data(), v.t.data() + m, m);
-    } else {
-      scores[k] = ComplExReduceFullDispatch(v.h.data(), v.h.data() + m,
-                                            v.r.data(), v.r.data() + m,
-                                            v.t.data(), v.t.data() + m, m);
-    }
-  }
-}
-
-void ComplExScoreBackwardBatch(const TripleView& ref,
-                               std::span<const TripleView> triples,
-                               std::span<const double> upstreams,
-                               std::span<const GradView> grads,
-                               KernelScratch* scratch) {
-  (void)ref;
-  (void)scratch;
-  assert(upstreams.size() == triples.size() &&
-         grads.size() == triples.size());
-  // Backward keeps the scalar API's float expression trees; there is no
-  // double-precision intermediate to reuse.
-  for (size_t k = 0; k < triples.size(); ++k) {
-    if (upstreams[k] == 0.0) continue;
-    const TripleView& v = triples[k];
-    const GradView& g = grads[k];
-    const size_t m = v.h.size() / 2;
-    ComplExApplyDispatch(static_cast<float>(upstreams[k]), v.h.data(),
-                         v.h.data() + m, v.r.data(), v.r.data() + m,
-                         v.t.data(), v.t.data() + m, g.h.data(),
-                         g.h.data() + m, g.r.data(), g.r.data() + m,
-                         g.t.data(), g.t.data() + m, m);
-  }
+  WithModel(kind, ref.h.size(), [&](const auto& k, const auto& model) {
+    k.backward_batch(model, ref, triples, upstreams, grads,
+                     BatchScratch(scratch));
+  });
 }
 
 // ======================================================================
 // AdaGrad
 // ======================================================================
 
-namespace {
-
-void AdaGradApplyRowPortable(float* __restrict__ row,
-                             const float* __restrict__ grad,
-                             float* __restrict__ acc, size_t n, double lr,
-                             double eps) {
-  for (size_t j = 0; j < n; ++j) {
-    const double g = grad[j];
-    acc[j] += static_cast<float>(g * g);
-    row[j] -= static_cast<float>(
-        lr * g / std::sqrt(static_cast<double>(acc[j]) + eps));
-  }
-}
-
-#if HETKG_KERNELS_X86
-
-// IEEE sqrt and divide are correctly rounded, so this is bit-identical
-// to the scalar loop; no rsqrt approximation is allowed here.
-__attribute__((target("avx2"))) void AdaGradApplyRowAvx2(
-    float* row, const float* grad, float* acc, size_t n, double lr,
-    double eps) {
-  const __m256d lrv = _mm256_set1_pd(lr);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(grad + j));
-    const __m128 gg = _mm256_cvtpd_ps(_mm256_mul_pd(g, g));
-    const __m128 acc_new = _mm_add_ps(_mm_loadu_ps(acc + j), gg);
-    _mm_storeu_ps(acc + j, acc_new);
-    const __m256d denom =
-        _mm256_sqrt_pd(_mm256_add_pd(_mm256_cvtps_pd(acc_new), epsv));
-    const __m256d step = _mm256_div_pd(_mm256_mul_pd(lrv, g), denom);
-    _mm_storeu_ps(row + j,
-                  _mm_sub_ps(_mm_loadu_ps(row + j), _mm256_cvtpd_ps(step)));
-  }
-  for (; j < n; ++j) {
-    const double g = grad[j];
-    acc[j] += static_cast<float>(g * g);
-    row[j] -= static_cast<float>(
-        lr * g / std::sqrt(static_cast<double>(acc[j]) + eps));
-  }
-}
-
-#endif  // HETKG_KERNELS_X86
-
-}  // namespace
-
 void AdaGradApplyRow(std::span<float> row, std::span<const float> grad,
                      float* acc, double learning_rate, double epsilon) {
   assert(row.size() == grad.size());
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    AdaGradApplyRowAvx2(row.data(), grad.data(), acc, row.size(),
+  Kernels().adagrad_row(row.data(), grad.data(), acc, row.size(),
                         learning_rate, epsilon);
-    return;
-  }
-#endif
-  AdaGradApplyRowPortable(row.data(), grad.data(), acc, row.size(),
-                          learning_rate, epsilon);
 }
 
 // ======================================================================
 // Cold-tier row codecs (DESIGN.md §16)
 // ======================================================================
 
-namespace {
-
 // Scalar fp32 -> binary16 with round-to-nearest-even, bit-exact with
 // the F16C VCVTPS2PH(_MM_FROUND_TO_NEAREST_INT) hardware conversion:
 // NaN/Inf map to their half encodings, overflow saturates to Inf, and
 // values below the half-normal range round into (or out of) the
 // denormal encodings via the same shifted-RNE arithmetic.
-uint16_t Fp16FromFloatScalar(float v) {
+uint16_t Fp16FromFloat(float v) {
   uint32_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   const uint32_t sign = (bits >> 16) & 0x8000u;
@@ -1178,7 +733,7 @@ uint16_t Fp16FromFloatScalar(float v) {
   return static_cast<uint16_t>(half_bits);
 }
 
-float Fp16ToFloatScalar(uint16_t h) {
+float Fp16ToFloat(uint16_t h) {
   const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
   const uint32_t exp = (h >> 10) & 0x1Fu;
   const uint32_t mantissa = h & 0x03FFu;
@@ -1203,38 +758,44 @@ float Fp16ToFloatScalar(uint16_t h) {
   return v;
 }
 
+// The two codec steps below keep their intrinsics: no portable
+// expression yields the F16C conversion, and __builtin_convertvector
+// truncates where int8 encode must round to nearest even. Each handles
+// whole 8-element blocks and returns where the scalar tail starts.
+namespace {
 #if HETKG_KERNELS_X86
 
-__attribute__((target("f16c"))) void EncodeRowFp16F16c(const float* src,
-                                                       uint16_t* dst,
-                                                       size_t n) {
+__attribute__((target("f16c"))) size_t EncodeRowFp16F16c(const float* src,
+                                                         uint16_t* dst,
+                                                         size_t n) {
   size_t j = 0;
   for (; j + 8 <= n; j += 8) {
     const __m256 v = _mm256_loadu_ps(src + j);
     const __m128i h = _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + j), h);
   }
-  for (; j < n; ++j) dst[j] = Fp16FromFloatScalar(src[j]);
+  return j;
 }
 
-__attribute__((target("f16c"))) void DecodeRowFp16F16c(const uint16_t* src,
-                                                       float* dst,
-                                                       size_t n) {
+__attribute__((target("f16c"))) size_t DecodeRowFp16F16c(const uint16_t* src,
+                                                         float* dst,
+                                                         size_t n) {
   size_t j = 0;
   for (; j + 8 <= n; j += 8) {
     const __m128i h =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + j));
     _mm256_storeu_ps(dst + j, _mm256_cvtph_ps(h));
   }
-  for (; j < n; ++j) dst[j] = Fp16ToFloatScalar(src[j]);
+  return j;
 }
 
 // int8 quantize: t = (v - min) * inv; q = clamp(rne(t), 0, 255).
 // CVTPS2DQ rounds RNE under the default MXCSR mode, matching the scalar
 // lrintf; sub and mul are IEEE-exact, so both paths emit the same q.
-__attribute__((target("avx2"))) void EncodeRowInt8Avx2(const float* src,
-                                                       uint8_t* q, float min,
-                                                       float inv, size_t n) {
+__attribute__((target("avx2"))) size_t EncodeRowInt8Avx2(const float* src,
+                                                         uint8_t* q,
+                                                         float min, float inv,
+                                                         size_t n) {
   const __m256 vmin = _mm256_set1_ps(min);
   const __m256 vinv = _mm256_set1_ps(inv);
   const __m256i lo = _mm256_setzero_si256();
@@ -1249,33 +810,7 @@ __attribute__((target("avx2"))) void EncodeRowInt8Avx2(const float* src,
     _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), qi);
     for (int k = 0; k < 8; ++k) q[j + k] = static_cast<uint8_t>(lanes[k]);
   }
-  for (; j < n; ++j) {
-    const float t = (src[j] - min) * inv;
-    long v = std::lrintf(t);
-    if (v < 0) v = 0;
-    if (v > 255) v = 255;
-    q[j] = static_cast<uint8_t>(v);
-  }
-}
-
-// int8 dequantize: v = min + q * scale, explicit mul then add (never an
-// FMA) so the bits match the scalar loop under -ffp-contract=off.
-__attribute__((target("avx2"))) void DecodeRowInt8Avx2(const uint8_t* q,
-                                                       float scale, float min,
-                                                       float* dst, size_t n) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 vmin = _mm256_set1_ps(min);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + j));
-    const __m256 t = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-    _mm256_storeu_ps(dst + j,
-                     _mm256_add_ps(_mm256_mul_ps(t, vscale), vmin));
-  }
-  for (; j < n; ++j) {
-    dst[j] = static_cast<float>(q[j]) * scale + min;
-  }
+  return j;
 }
 
 /// F16C rides the vector dispatch: available on every AVX2 part this
@@ -1288,28 +823,20 @@ bool UseF16c() {
 
 }  // namespace
 
-uint16_t Fp16FromFloat(float v) { return Fp16FromFloatScalar(v); }
-
-float Fp16ToFloat(uint16_t h) { return Fp16ToFloatScalar(h); }
-
 void EncodeRowFp16(std::span<const float> src, uint16_t* dst) {
+  size_t j = 0;
 #if HETKG_KERNELS_X86
-  if (UseF16c()) {
-    EncodeRowFp16F16c(src.data(), dst, src.size());
-    return;
-  }
+  if (UseF16c()) j = EncodeRowFp16F16c(src.data(), dst, src.size());
 #endif
-  for (size_t j = 0; j < src.size(); ++j) dst[j] = Fp16FromFloatScalar(src[j]);
+  for (; j < src.size(); ++j) dst[j] = Fp16FromFloat(src[j]);
 }
 
 void DecodeRowFp16(const uint16_t* src, std::span<float> dst) {
+  size_t j = 0;
 #if HETKG_KERNELS_X86
-  if (UseF16c()) {
-    DecodeRowFp16F16c(src, dst.data(), dst.size());
-    return;
-  }
+  if (UseF16c()) j = DecodeRowFp16F16c(src, dst.data(), dst.size());
 #endif
-  for (size_t j = 0; j < dst.size(); ++j) dst[j] = Fp16ToFloatScalar(src[j]);
+  for (; j < dst.size(); ++j) dst[j] = Fp16ToFloat(src[j]);
 }
 
 void EncodeRowInt8(std::span<const float> src, uint8_t* q, float* scale,
@@ -1333,13 +860,13 @@ void EncodeRowInt8(std::span<const float> src, uint8_t* q, float* scale,
   }
   *scale = range / 255.0f;
   const float inv = 255.0f / range;
+  size_t j = 0;
 #if HETKG_KERNELS_X86
   if (ActivePath() == KernelPath::kAvx2) {
-    EncodeRowInt8Avx2(src.data(), q, lo, inv, src.size());
-    return;
+    j = EncodeRowInt8Avx2(src.data(), q, lo, inv, src.size());
   }
 #endif
-  for (size_t j = 0; j < src.size(); ++j) {
+  for (; j < src.size(); ++j) {
     const float t = (src[j] - lo) * inv;
     long v = std::lrintf(t);
     if (v < 0) v = 0;
@@ -1350,15 +877,7 @@ void EncodeRowInt8(std::span<const float> src, uint8_t* q, float* scale,
 
 void DecodeRowInt8(const uint8_t* q, float scale, float min,
                    std::span<float> dst) {
-#if HETKG_KERNELS_X86
-  if (ActivePath() == KernelPath::kAvx2) {
-    DecodeRowInt8Avx2(q, scale, min, dst.data(), dst.size());
-    return;
-  }
-#endif
-  for (size_t j = 0; j < dst.size(); ++j) {
-    dst[j] = static_cast<float>(q[j]) * scale + min;
-  }
+  Kernels().decode_int8(q, scale, min, dst.data(), dst.size());
 }
 
 }  // namespace hetkg::embedding::kernels

@@ -9,14 +9,15 @@
 // tree — is FIXED, independent of which implementation executes it.
 // Reductions accumulate into `kLaneWidth` partial lanes (element j goes
 // to lane j % kLaneWidth) merged by `TreeReduce8`, and elementwise
-// expressions keep one canonical association. The scalar per-triple
-// API, the portable 8-wide batch kernels, and the AVX2 batch kernels
-// therefore produce the same bits, so `--kernel` is a pure performance
-// knob: training output is bit-identical across every dispatch path
-// (enforced by tests/kernel_equivalence_test.cpp).
+// expressions keep one canonical association. Each operation is written
+// once and compiled for baseline x86-64 and for AVX2, so the scalar
+// per-triple API and the batch kernels give the same bits on every
+// dispatch path: the path only changes speed (enforced by
+// tests/kernel_equivalence_test.cpp).
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -43,19 +44,15 @@ struct GradView {
   std::span<float> t;
 };
 
+enum class ModelKind;  // embedding/score_function.h
+
 namespace kernels {
 
 // -- Runtime dispatch --------------------------------------------------
 
-/// User-facing kernel selection (`--kernel` flag / HETKG_KERNEL env).
-enum class KernelMode {
-  kAuto,    // Pick the fastest path; HETKG_KERNEL overrides.
-  kScalar,  // Loop the scalar per-triple API (reference path).
-  kVector,  // Batched 8-wide lane kernels (AVX2 when the CPU has it).
-};
-
 /// Resolved executable path. Gauge encoding (`kernel.dispatch`):
-/// 0 = scalar, 1 = portable vector, 2 = AVX2.
+/// 0 = scalar (per-triple loop, baseline build), 1 = batch kernels in
+/// the baseline build, 2 = batch kernels in the AVX2 build.
 enum class KernelPath {
   kScalar = 0,
   kPortableVector = 1,
@@ -71,21 +68,13 @@ struct CpuFeatures {
 };
 CpuFeatures DetectCpuFeatures();
 
-/// Parses "auto" / "scalar" / "vector"; InvalidArgument otherwise.
-Result<KernelMode> ParseKernelMode(std::string_view name);
-std::string_view KernelModeName(KernelMode mode);
 std::string_view KernelPathName(KernelPath path);
 
-/// Resolves `mode` to an executable path. The HETKG_KERNEL environment
-/// variable (same values as the flag) overrides kAuto only — explicit
-/// `--kernel=scalar|vector` wins over the environment, which lets the
-/// CI matrix steer default-configured binaries without re-plumbing.
-KernelPath ResolveKernelPath(KernelMode mode);
-
-/// Sets the process-wide dispatch. Because every path is bit-identical,
-/// switching modes mid-process cannot change results — only speed.
-void SetKernelMode(KernelMode mode);
-KernelMode ActiveMode();
+/// Sets the process-wide dispatch. A path pins it (kAvx2 is refused on
+/// a CPU without AVX2); std::nullopt re-resolves the default: the CPU's
+/// best path, or kScalar when HETKG_KERNEL=scalar. Every path is
+/// bit-identical, so switching mid-process changes only speed.
+Status SetKernelPath(std::optional<KernelPath> path);
 KernelPath ActivePath();
 
 /// True when the batched kernels should take their vectorized paths.
@@ -128,80 +117,42 @@ struct KernelScratch {
   std::vector<double> b;
 };
 
-// -- Canonical per-triple kernels --------------------------------------
-// The scalar ScoreFunction API of TransE/DistMult/ComplEx delegates
-// here; these dispatch on ActivePath() like the batch entry points and
-// define the canonical bits every other path must reproduce.
+// -- Score kernels -----------------------------------------------------
+// The math of TransE, DistMult and ComplEx; their ScoreFunction classes
+// delegate here. Score/ScoreBackward take one triple. The batch calls
+// score `triples` (resp. accumulate their gradients) in one call:
+// triples sharing (h, r) with `ref` reuse a hoisted per-query
+// intermediate, all others read their rows. Output is bit-identical to
+// looping the per-triple calls, on every dispatch path. Backward applies
+// entries in ascending index order and skips any k with
+// upstreams[k] == 0 (its GradView may be empty).
 
-double TransEScore(int p, std::span<const float> h, std::span<const float> r,
-                   std::span<const float> t);
-void TransEScoreBackward(int p, std::span<const float> h,
-                         std::span<const float> r, std::span<const float> t,
-                         double upstream, std::span<float> gh,
-                         std::span<float> gr, std::span<float> gt);
+// `model` is kTransEL1, kTransEL2, kDistMult or kComplEx.
 
-double DistMultScore(std::span<const float> h, std::span<const float> r,
-                     std::span<const float> t);
-void DistMultScoreBackward(std::span<const float> h, std::span<const float> r,
-                           std::span<const float> t, double upstream,
-                           std::span<float> gh, std::span<float> gr,
-                           std::span<float> gt);
-
-double ComplExScore(std::span<const float> h, std::span<const float> r,
-                    std::span<const float> t);
-void ComplExScoreBackward(std::span<const float> h, std::span<const float> r,
-                          std::span<const float> t, double upstream,
-                          std::span<float> gh, std::span<float> gr,
-                          std::span<float> gt);
-
-// -- Batched kernels ---------------------------------------------------
-// Score `triples` (resp. accumulate their gradients) in one call.
-// Triples sharing (h, r) with `ref` reuse a hoisted per-query
-// intermediate; all others take the full vectorized form. Output is
-// bit-identical to looping the per-triple kernels above, on every
-// dispatch path. Backward applies entries in ascending index order and
-// skips any k with upstreams[k] == 0 (its GradView may be empty).
-
-void TransEScoreBatch(int p, const TripleView& ref,
-                      std::span<const TripleView> triples,
-                      std::span<double> scores, KernelScratch* scratch);
-void TransEScoreBackwardBatch(int p, const TripleView& ref,
-                              std::span<const TripleView> triples,
-                              std::span<const double> upstreams,
-                              std::span<const GradView> grads,
-                              KernelScratch* scratch);
-
-void DistMultScoreBatch(const TripleView& ref,
+double Score(ModelKind model, const TripleView& v);
+void ScoreBackward(ModelKind model, const TripleView& v, double upstream,
+                   const GradView& g);
+void ScoreBatch(ModelKind model, const TripleView& ref,
+                std::span<const TripleView> triples, std::span<double> scores,
+                KernelScratch* scratch);
+void ScoreBackwardBatch(ModelKind model, const TripleView& ref,
                         std::span<const TripleView> triples,
-                        std::span<double> scores, KernelScratch* scratch);
-void DistMultScoreBackwardBatch(const TripleView& ref,
-                                std::span<const TripleView> triples,
-                                std::span<const double> upstreams,
-                                std::span<const GradView> grads,
-                                KernelScratch* scratch);
-
-void ComplExScoreBatch(const TripleView& ref,
-                       std::span<const TripleView> triples,
-                       std::span<double> scores, KernelScratch* scratch);
-void ComplExScoreBackwardBatch(const TripleView& ref,
-                               std::span<const TripleView> triples,
-                               std::span<const double> upstreams,
-                               std::span<const GradView> grads,
-                               KernelScratch* scratch);
+                        std::span<const double> upstreams,
+                        std::span<const GradView> grads,
+                        KernelScratch* scratch);
 
 /// Vectorized sparse-AdaGrad row update:
 ///   acc[j] += float(g*g);  row[j] -= float(lr * g / sqrt(acc[j] + eps))
-/// with g = double(grad[j]). sqrt and divide are IEEE-exact, so the
-/// SIMD path is bit-identical to AdaGrad::Apply's scalar loop.
+/// with g = double(grad[j]). sqrt and divide are IEEE-exact, so every
+/// build is bit-identical to AdaGrad::Apply's scalar loop.
 void AdaGradApplyRow(std::span<float> row, std::span<const float> grad,
                      float* acc, double learning_rate, double epsilon);
 
 // -- Cold-tier row codecs (DESIGN.md §16) ------------------------------
 // The quantize-on-write-back / dequantize-on-pull primitives of the
 // tiered embedding store (embedding/tiered_store.h). They follow the
-// same contract as every other kernel here: the scalar loop and the
-// AVX2/F16C path produce identical bits, so `--kernel` stays a pure
-// performance knob even when cold rows round-trip through int8/fp16.
+// same contract as every other kernel here: every dispatch path produces
+// identical bits, even when cold rows round-trip through int8/fp16.
 //
 // fp16 is IEEE binary16 with round-to-nearest-even (the F16C hardware
 // rounding); the scalar encoder reproduces the hardware bits exactly,

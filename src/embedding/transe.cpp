@@ -14,21 +14,21 @@ TransE::TransE(int p) : p_(p) { assert(p == 1 || p == 2); }
 
 double TransE::Score(std::span<const float> h, std::span<const float> r,
                      std::span<const float> t) const {
-  return kernels::TransEScore(p_, h, r, t);
+  return kernels::Score(kind(), {h, r, t});
 }
 
 void TransE::ScoreBackward(std::span<const float> h, std::span<const float> r,
                            std::span<const float> t, double upstream,
                            std::span<float> gh, std::span<float> gr,
                            std::span<float> gt) const {
-  kernels::TransEScoreBackward(p_, h, r, t, upstream, gh, gr, gt);
+  kernels::ScoreBackward(kind(), {h, r, t}, upstream, {gh, gr, gt});
 }
 
 void TransE::ScoreBatch(const TripleView& ref,
                         std::span<const TripleView> triples,
                         std::span<double> scores,
                         kernels::KernelScratch* scratch) const {
-  kernels::TransEScoreBatch(p_, ref, triples, scores, scratch);
+  kernels::ScoreBatch(kind(), ref, triples, scores, scratch);
 }
 
 void TransE::ScoreBackwardBatch(const TripleView& ref,
@@ -36,8 +36,8 @@ void TransE::ScoreBackwardBatch(const TripleView& ref,
                                 std::span<const double> upstreams,
                                 std::span<const GradView> grads,
                                 kernels::KernelScratch* scratch) const {
-  kernels::TransEScoreBackwardBatch(p_, ref, triples, upstreams, grads,
-                                    scratch);
+  kernels::ScoreBackwardBatch(kind(), ref, triples, upstreams, grads,
+                              scratch);
 }
 
 }  // namespace hetkg::embedding

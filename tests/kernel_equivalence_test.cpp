@@ -1,11 +1,13 @@
 // Kernel-layer equivalence (DESIGN.md §10): the batched ScoreBatch /
 // ScoreBackwardBatch / AdaGrad::ApplyBatch APIs must be BIT-identical
-// to looping the scalar API, for every model and every --kernel
-// setting, and the kernel paths must be bit-identical to each other —
-// --kernel is a pure performance knob.
+// to looping the scalar API, for every model and every kernel path,
+// and the paths must be bit-identical to each other — the dispatch
+// path is a pure performance knob.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -17,6 +19,7 @@
 #include "embedding/kernels.h"
 #include "embedding/score_function.h"
 #include "graph/synthetic.h"
+#include "kernel_paths.h"
 
 namespace hetkg {
 namespace {
@@ -26,20 +29,7 @@ using embedding::ModelKind;
 using embedding::ScoreFunction;
 using embedding::TripleView;
 namespace kernels = embedding::kernels;
-
-/// Restores the process-wide kernel mode on scope exit, so tests can
-/// flip dispatch without leaking state into other tests.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(kernels::KernelMode mode)
-      : saved_(kernels::ActiveMode()) {
-    kernels::SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { kernels::SetKernelMode(saved_); }
-
- private:
-  kernels::KernelMode saved_;
-};
+using kernels::KernelPath;
 
 constexpr ModelKind kAllModels[] = {
     ModelKind::kTransEL1, ModelKind::kTransEL2, ModelKind::kDistMult,
@@ -49,6 +39,12 @@ constexpr ModelKind kAllModels[] = {
 
 bool RequiresEvenDim(ModelKind kind) {
   return kind == ModelKind::kComplEx || kind == ModelKind::kTransD;
+}
+
+/// The models whose math lives in embedding/kernels.cpp.
+bool HasBatchKernel(ModelKind kind) {
+  return kind == ModelKind::kTransEL1 || kind == ModelKind::kTransEL2 ||
+         kind == ModelKind::kDistMult || kind == ModelKind::kComplEx;
 }
 
 /// A pool of entity/relation rows plus a positive and a mixed bag of
@@ -78,7 +74,11 @@ struct BatchFixture {
   }
 };
 
-BatchFixture MakeFixture(const ScoreFunction& fn, size_t dim, uint64_t seed) {
+/// `special` mixes in ±0.0, float denormals and large magnitudes, and
+/// zeroes r0/r2 on even coordinates with e1 = e0 there, so the positive
+/// and the self-loop hit TransE's exact-zero residual (sign(0)).
+BatchFixture MakeFixture(const ScoreFunction& fn, size_t dim, uint64_t seed,
+                         bool special = false) {
   BatchFixture fx;
   fx.dim = dim;
   fx.rdim = fn.RelationDim(dim);
@@ -90,6 +90,22 @@ BatchFixture MakeFixture(const ScoreFunction& fn, size_t dim, uint64_t seed) {
   fx.relations.resize(BatchFixture::kNumRelations * fx.rdim);
   for (float& v : fx.relations) {
     v = static_cast<float>(rng.NextUniform(-0.8, 0.8));
+  }
+  if (special) {
+    constexpr float kSpecials[] = {0.0f, -0.0f, 1e-40f, -3e-41f, 1e15f,
+                                   -1e15f, 2.5e14f};
+    constexpr size_t kNumSpecials = std::size(kSpecials);
+    for (size_t i = 0; i < fx.entities.size(); i += 3) {
+      fx.entities[i] = kSpecials[(i / 3) % kNumSpecials];
+    }
+    for (size_t i = 1; i < fx.relations.size(); i += 3) {
+      fx.relations[i] = kSpecials[(i / 3) % kNumSpecials];
+    }
+    for (size_t j = 0; j < dim; j += 2) {
+      fx.relations[0 * fx.rdim + j] = 0.0f;
+      fx.relations[2 * fx.rdim + j] = 0.0f;
+      fx.entities[1 * dim + j] = fx.entities[0 * dim + j];
+    }
   }
 
   auto add = [&](size_t h, size_t r, size_t t, double upstream) {
@@ -136,6 +152,67 @@ struct GradBuffers {
   }
 };
 
+// Independent scalar reference for the kernel-backed models: the
+// canonical element expressions of DESIGN.md §10, one element at a
+// time, in lane j % 8 order. Every kernel path shares one body, so the
+// cross-path checks alone could not catch a wrong expression.
+
+double ReferenceScore(ModelKind kind, const TripleView& v) {
+  const bool complex = kind == ModelKind::kComplEx;
+  const size_t n = complex ? v.h.size() / 2 : v.h.size();
+  double lane[kernels::kLaneWidth] = {};
+  for (size_t j = 0; j < n; ++j) {
+    const double h = v.h[j], r = v.r[j], t = v.t[j];
+    double term = (h * r) * t;  // DistMult.
+    if (kind == ModelKind::kTransEL1) term = std::fabs((h + r) - t);
+    if (kind == ModelKind::kTransEL2) term = ((h + r) - t) * ((h + r) - t);
+    if (complex) {
+      const double him = v.h[n + j], rim = v.r[n + j], tim = v.t[n + j];
+      term = (((h * r) - (him * rim)) * t) + (((him * r) + (h * rim)) * tim);
+    }
+    lane[j % kernels::kLaneWidth] += term;
+  }
+  const double sum = kernels::TreeReduce8(lane);
+  if (kind == ModelKind::kTransEL1) return -sum;
+  return kind == ModelKind::kTransEL2 ? -std::sqrt(sum) : sum;
+}
+
+void ReferenceBackward(ModelKind kind, const TripleView& v, double u,
+                       const GradView& g) {
+  if (kind == ModelKind::kComplEx) {
+    const size_t m = v.h.size() / 2;
+    const float uf = static_cast<float>(u);
+    for (size_t j = 0; j < m; ++j) {
+      const float hre = v.h[j], him = v.h[m + j], rre = v.r[j],
+                  rim = v.r[m + j], tre = v.t[j], tim = v.t[m + j];
+      g.h[j] += uf * (rre * tre + rim * tim);
+      g.h[m + j] += uf * (rre * tim - rim * tre);
+      g.r[j] += uf * (hre * tre + him * tim);
+      g.r[m + j] += uf * (hre * tim - him * tre);
+      g.t[j] += uf * (hre * rre - him * rim);
+      g.t[m + j] += uf * (him * rre + hre * rim);
+    }
+    return;
+  }
+  const double norm = -ReferenceScore(ModelKind::kTransEL2, v);
+  if (kind == ModelKind::kTransEL2 && norm <= 1e-12) return;
+  for (size_t j = 0; j < v.h.size(); ++j) {
+    const double h = v.h[j], r = v.r[j], t = v.t[j], e = (h + r) - t;
+    if (kind == ModelKind::kDistMult) {
+      g.h[j] += static_cast<float>((u * r) * t);
+      g.r[j] += static_cast<float>((u * h) * t);
+      g.t[j] += static_cast<float>((u * h) * r);
+      continue;
+    }
+    const double sign = e > 0.0 ? 1.0 : (e < 0.0 ? -1.0 : 0.0);
+    const float step = static_cast<float>(
+        kind == ModelKind::kTransEL1 ? -u * sign : (-u / norm) * e);
+    g.h[j] += step;
+    g.r[j] += step;
+    g.t[j] -= step;
+  }
+}
+
 std::vector<size_t> DimsFor(ModelKind kind) {
   // 30 and 64: even, one NOT a multiple of the lane width (8); 5 and
   // 19: odd (tail-loop coverage) where the model allows it.
@@ -147,9 +224,10 @@ std::vector<size_t> DimsFor(ModelKind kind) {
   return dims;
 }
 
-/// Runs ScoreBatch + ScoreBackwardBatch under the CURRENT kernel mode
-/// and checks both against the scalar per-triple loop, bitwise. Fills
-/// `out` (scores, grads) so callers can also compare across modes.
+/// Runs ScoreBatch + ScoreBackwardBatch on the CURRENT kernel path and
+/// checks both against the scalar per-triple loop, and the kernel-backed
+/// models against the reference above, bitwise. Fills `out` (scores,
+/// grads) so callers can also compare across paths.
 /// (void so ASSERT_* may be used.)
 struct BatchResult {
   std::vector<double> scores;
@@ -167,13 +245,20 @@ void RunAndCheckAgainstScalarLoop(const ScoreFunction& fn,
   for (size_t k = 0; k < fx.views.size(); ++k) {
     const double expect =
         fn.Score(fx.views[k].h, fx.views[k].r, fx.views[k].t);
-    ASSERT_EQ(out->scores[k], expect)
+    ASSERT_EQ(std::bit_cast<uint64_t>(out->scores[k]),
+              std::bit_cast<uint64_t>(expect))
         << fn.name() << " dim=" << fx.dim << " view " << k;
+    if (HasBatchKernel(fn.kind())) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(expect),
+                std::bit_cast<uint64_t>(ReferenceScore(fn.kind(), fx.views[k])))
+          << fn.name() << " dim=" << fx.dim << " view " << k << " reference";
+    }
   }
 
   // Backward: batch vs scalar loop, into separate buffers.
   GradBuffers batch_bufs(fx);
   GradBuffers loop_bufs(fx);
+  GradBuffers reference_bufs(fx);
   std::vector<GradView> grad_views(fx.views.size());
   for (size_t k = 0; k < fx.views.size(); ++k) {
     // Entries with a zero upstream keep an empty GradView — the batch
@@ -187,15 +272,20 @@ void RunAndCheckAgainstScalarLoop(const ScoreFunction& fn,
     const GradView g = loop_bufs.View(fx, k);
     fn.ScoreBackward(fx.views[k].h, fx.views[k].r, fx.views[k].t,
                      fx.upstreams[k], g.h, g.r, g.t);
+    if (HasBatchKernel(fn.kind())) {
+      ReferenceBackward(fn.kind(), fx.views[k], fx.upstreams[k],
+                        reference_bufs.View(fx, k));
+    }
   }
-  ASSERT_EQ(batch_bufs.entities.size(), loop_bufs.entities.size());
-  for (size_t j = 0; j < batch_bufs.entities.size(); ++j) {
-    ASSERT_EQ(batch_bufs.entities[j], loop_bufs.entities[j])
-        << fn.name() << " dim=" << fx.dim << " entity grad float " << j;
-  }
-  for (size_t j = 0; j < batch_bufs.relations.size(); ++j) {
-    ASSERT_EQ(batch_bufs.relations[j], loop_bufs.relations[j])
-        << fn.name() << " dim=" << fx.dim << " relation grad float " << j;
+  ASSERT_TRUE(SameBits(batch_bufs.entities, loop_bufs.entities))
+      << fn.name() << " dim=" << fx.dim << " entity grads";
+  ASSERT_TRUE(SameBits(batch_bufs.relations, loop_bufs.relations))
+      << fn.name() << " dim=" << fx.dim << " relation grads";
+  if (HasBatchKernel(fn.kind())) {
+    ASSERT_TRUE(SameBits(loop_bufs.entities, reference_bufs.entities))
+        << fn.name() << " dim=" << fx.dim << " entity grads vs reference";
+    ASSERT_TRUE(SameBits(loop_bufs.relations, reference_bufs.relations))
+        << fn.name() << " dim=" << fx.dim << " relation grads vs reference";
   }
   out->entity_grads = std::move(batch_bufs.entities);
   out->relation_grads = std::move(batch_bufs.relations);
@@ -204,36 +294,42 @@ void RunAndCheckAgainstScalarLoop(const ScoreFunction& fn,
 TEST(KernelBatchEquivalenceTest, BatchMatchesScalarLoopOnEveryPath) {
   for (ModelKind kind : kAllModels) {
     for (size_t dim : DimsFor(kind)) {
-      auto fn = embedding::MakeScoreFunction(kind, dim).value();
-      const BatchFixture fx = MakeFixture(*fn, dim, 1000 + dim);
+      for (bool special : {false, true}) {
+        if (special && !HasBatchKernel(kind)) continue;
+        auto fn = embedding::MakeScoreFunction(kind, dim).value();
+        const BatchFixture fx = MakeFixture(*fn, dim, 1000 + dim, special);
 
-      std::optional<BatchResult> scalar_result;
-      for (kernels::KernelMode mode :
-           {kernels::KernelMode::kScalar, kernels::KernelMode::kVector}) {
-        ScopedKernelMode scoped(mode);
-        BatchResult result;
-        RunAndCheckAgainstScalarLoop(*fn, fx, &result);
-        if (::testing::Test::HasFatalFailure()) return;
-        if (!scalar_result.has_value()) {
-          scalar_result = result;
-          continue;
+        std::optional<BatchResult> scalar_result;
+        for (KernelPath path : KernelPaths()) {
+          ScopedKernelPath scoped(path);
+          BatchResult result;
+          RunAndCheckAgainstScalarLoop(*fn, fx, &result);
+          if (::testing::Test::HasFatalFailure()) return;
+          if (!scalar_result.has_value()) {
+            scalar_result = result;
+            continue;
+          }
+          // Across paths: every build produces the scalar path's bits.
+          const std::string where = std::string(fn->name()) +
+                                    " dim=" + std::to_string(dim) +
+                                    (special ? " special" : "") + " path=" +
+                                    std::string(kernels::KernelPathName(path));
+          ASSERT_TRUE(SameBits(result.scores, scalar_result->scores)) << where;
+          ASSERT_TRUE(
+              SameBits(result.entity_grads, scalar_result->entity_grads))
+              << where;
+          ASSERT_TRUE(
+              SameBits(result.relation_grads, scalar_result->relation_grads))
+              << where;
         }
-        // Across modes: scalar and vector paths produce the same bits.
-        ASSERT_EQ(result.scores, scalar_result->scores)
-            << fn->name() << " dim=" << dim;
-        ASSERT_EQ(result.entity_grads, scalar_result->entity_grads)
-            << fn->name() << " dim=" << dim;
-        ASSERT_EQ(result.relation_grads, scalar_result->relation_grads)
-            << fn->name() << " dim=" << dim;
       }
     }
   }
 }
 
 TEST(KernelEdgeCaseTest, EmptyNegativesAreANoOp) {
-  for (kernels::KernelMode mode :
-       {kernels::KernelMode::kScalar, kernels::KernelMode::kVector}) {
-    ScopedKernelMode scoped(mode);
+  for (KernelPath path : KernelPaths()) {
+    ScopedKernelPath scoped(path);
     for (ModelKind kind : kAllModels) {
       const size_t dim = 16;
       auto fn = embedding::MakeScoreFunction(kind, dim).value();
@@ -257,22 +353,21 @@ TEST(KernelEdgeCaseTest, TransEL2ZeroGradientAtExactMinimum) {
   std::vector<float> r(dim, 0.0f);
   std::vector<float> t = h;
 
-  for (kernels::KernelMode mode :
-       {kernels::KernelMode::kScalar, kernels::KernelMode::kVector}) {
-    ScopedKernelMode scoped(mode);
+  for (KernelPath path : KernelPaths()) {
+    ScopedKernelPath scoped(path);
     const TripleView ref{h, r, t};
     const std::vector<TripleView> views = {ref};
     std::vector<double> scores(1);
     kernels::KernelScratch scratch;
     fn->ScoreBatch(ref, views, scores, &scratch);
-    EXPECT_EQ(scores[0], 0.0) << kernels::KernelModeName(mode);
+    EXPECT_EQ(scores[0], 0.0) << kernels::KernelPathName(path);
 
     std::vector<float> gh(dim, 0.0f), gr(dim, 0.0f), gt(dim, 0.0f);
     const std::vector<GradView> grads = {GradView{gh, gr, gt}};
     const std::vector<double> upstreams = {1.0};
     fn->ScoreBackwardBatch(ref, views, upstreams, grads, &scratch);
     for (size_t j = 0; j < dim; ++j) {
-      ASSERT_EQ(gh[j], 0.0f) << kernels::KernelModeName(mode);
+      ASSERT_EQ(gh[j], 0.0f) << kernels::KernelPathName(path);
       ASSERT_EQ(gr[j], 0.0f);
       ASSERT_EQ(gt[j], 0.0f);
     }
@@ -287,9 +382,8 @@ TEST(KernelAdaGradTest, ApplyBatchBitIdenticalToApply) {
     for (float& v : init) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
 
     std::optional<std::vector<float>> first_rows;
-    for (kernels::KernelMode mode :
-         {kernels::KernelMode::kScalar, kernels::KernelMode::kVector}) {
-      ScopedKernelMode scoped(mode);
+    for (KernelPath path : KernelPaths()) {
+      ScopedKernelPath scoped(path);
       embedding::AdaGrad scalar_opt(kRows, dim, 0.1);
       embedding::AdaGrad batch_opt(kRows, dim, 0.1);
       std::vector<float> scalar_rows = init;
@@ -307,8 +401,8 @@ TEST(KernelAdaGradTest, ApplyBatchBitIdenticalToApply) {
                                grad);
         }
       }
-      ASSERT_EQ(batch_rows, scalar_rows)
-          << "dim=" << dim << " mode=" << kernels::KernelModeName(mode);
+      ASSERT_TRUE(SameBits(batch_rows, scalar_rows))
+          << "dim=" << dim << " path=" << kernels::KernelPathName(path);
       for (size_t row = 0; row < kRows; ++row) {
         const auto a = scalar_opt.AccumulatorRow(row);
         const auto b = batch_opt.AccumulatorRow(row);
@@ -318,39 +412,28 @@ TEST(KernelAdaGradTest, ApplyBatchBitIdenticalToApply) {
       if (!first_rows.has_value()) {
         first_rows = batch_rows;
       } else {
-        ASSERT_EQ(batch_rows, *first_rows) << "dim=" << dim;
+        ASSERT_TRUE(SameBits(batch_rows, *first_rows)) << "dim=" << dim;
       }
     }
   }
 }
 
-TEST(KernelDispatchTest, ParseAndNames) {
-  EXPECT_EQ(kernels::ParseKernelMode("auto").value(),
-            kernels::KernelMode::kAuto);
-  EXPECT_EQ(kernels::ParseKernelMode("scalar").value(),
-            kernels::KernelMode::kScalar);
-  EXPECT_EQ(kernels::ParseKernelMode("vector").value(),
-            kernels::KernelMode::kVector);
-  EXPECT_FALSE(kernels::ParseKernelMode("avx512").ok());
-  EXPECT_EQ(kernels::KernelPathName(kernels::KernelPath::kScalar), "scalar");
-  EXPECT_EQ(kernels::KernelPathName(kernels::KernelPath::kPortableVector),
+TEST(KernelDispatchTest, PathNames) {
+  EXPECT_EQ(kernels::KernelPathName(KernelPath::kScalar), "scalar");
+  EXPECT_EQ(kernels::KernelPathName(KernelPath::kPortableVector),
             "portable-vector");
-  EXPECT_EQ(kernels::KernelPathName(kernels::KernelPath::kAvx2), "avx2");
+  EXPECT_EQ(kernels::KernelPathName(KernelPath::kAvx2), "avx2");
 }
 
-TEST(KernelDispatchTest, ExplicitModeWinsGaugeTracksPath) {
-  {
-    ScopedKernelMode scoped(kernels::KernelMode::kScalar);
-    EXPECT_EQ(kernels::ActivePath(), kernels::KernelPath::kScalar);
-    EXPECT_FALSE(kernels::UseVectorPath());
-    EXPECT_EQ(kernels::DispatchGauge(), 0.0);
+TEST(KernelDispatchTest, PinnedPathWinsGaugeTracksPath) {
+  for (KernelPath path : KernelPaths()) {
+    ScopedKernelPath scoped(path);
+    EXPECT_EQ(kernels::ActivePath(), path);
+    EXPECT_EQ(kernels::UseVectorPath(), path != KernelPath::kScalar);
+    EXPECT_EQ(kernels::DispatchGauge(), static_cast<double>(path));
   }
-  {
-    ScopedKernelMode scoped(kernels::KernelMode::kVector);
-    EXPECT_NE(kernels::ActivePath(), kernels::KernelPath::kScalar);
-    EXPECT_TRUE(kernels::UseVectorPath());
-    EXPECT_EQ(kernels::DispatchGauge(),
-              static_cast<double>(kernels::ActivePath()));
+  if (!kernels::DetectCpuFeatures().avx2) {
+    EXPECT_FALSE(kernels::SetKernelPath(KernelPath::kAvx2).ok());
   }
 }
 
@@ -359,34 +442,35 @@ TEST(KernelDispatchTest, EnvironmentSteersAutoOnly) {
   const std::string saved_value = saved != nullptr ? saved : "";
 
   ::setenv("HETKG_KERNEL", "scalar", 1);
-  EXPECT_EQ(kernels::ResolveKernelPath(kernels::KernelMode::kAuto),
-            kernels::KernelPath::kScalar);
-  // Explicit modes ignore the environment (the equivalence tests rely
-  // on this to force both paths under a CI-set HETKG_KERNEL).
-  EXPECT_NE(kernels::ResolveKernelPath(kernels::KernelMode::kVector),
-            kernels::KernelPath::kScalar);
+  ASSERT_TRUE(kernels::SetKernelPath(std::nullopt).ok());
+  EXPECT_EQ(kernels::ActivePath(), KernelPath::kScalar);
+  // A pinned path ignores the environment (the equivalence tests rely
+  // on this to force every path under a CI-set HETKG_KERNEL).
+  ASSERT_TRUE(kernels::SetKernelPath(KernelPath::kPortableVector).ok());
+  EXPECT_EQ(kernels::ActivePath(), KernelPath::kPortableVector);
 
   ::setenv("HETKG_KERNEL", "vector", 1);
-  EXPECT_NE(kernels::ResolveKernelPath(kernels::KernelMode::kAuto),
-            kernels::KernelPath::kScalar);
-  EXPECT_EQ(kernels::ResolveKernelPath(kernels::KernelMode::kScalar),
-            kernels::KernelPath::kScalar);
+  ASSERT_TRUE(kernels::SetKernelPath(std::nullopt).ok());
+  EXPECT_NE(kernels::ActivePath(), KernelPath::kScalar);
+  ASSERT_TRUE(kernels::SetKernelPath(KernelPath::kScalar).ok());
+  EXPECT_EQ(kernels::ActivePath(), KernelPath::kScalar);
 
   // Unknown values fall back to the CPU-feature default.
   ::setenv("HETKG_KERNEL", "quantum", 1);
-  EXPECT_NE(kernels::ResolveKernelPath(kernels::KernelMode::kAuto),
-            kernels::KernelPath::kScalar);
+  ASSERT_TRUE(kernels::SetKernelPath(std::nullopt).ok());
+  EXPECT_NE(kernels::ActivePath(), KernelPath::kScalar);
 
   if (saved != nullptr) {
     ::setenv("HETKG_KERNEL", saved_value.c_str(), 1);
   } else {
     ::unsetenv("HETKG_KERNEL");
   }
+  ASSERT_TRUE(kernels::SetKernelPath(std::nullopt).ok());
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: whole training runs must be bit-identical across
-// --kernel settings (the training-level analogue of the unit checks).
+// End-to-end: whole training runs must be bit-identical across kernel
+// paths (the training-level analogue of the unit checks).
 // ---------------------------------------------------------------------
 
 struct TrainOutput {
@@ -395,9 +479,8 @@ struct TrainOutput {
   std::vector<std::pair<std::string, uint64_t>> metrics;
 };
 
-TrainOutput TrainWithKernel(core::SystemKind system, ModelKind model,
-                            const graph::SyntheticDataset& dataset,
-                            const std::string& kernel) {
+TrainOutput Train(core::SystemKind system, ModelKind model,
+                  const graph::SyntheticDataset& dataset) {
   core::TrainerConfig config;
   config.model = model;
   config.dim = 16;
@@ -410,7 +493,6 @@ TrainOutput TrainWithKernel(core::SystemKind system, ModelKind model,
   config.pbg_partitions = 4;
   config.seed = 5;
   config.num_threads = 2;
-  config.kernel = kernel;
   auto engine =
       core::MakeEngine(system, config, dataset.graph, dataset.split.train)
           .value();
@@ -434,9 +516,6 @@ TrainOutput TrainWithKernel(core::SystemKind system, ModelKind model,
 }
 
 TEST(KernelTrainingIdentityTest, BitIdenticalAcrossKernelSettings) {
-  // Engine setup persists the configured mode process-wide; restore it.
-  ScopedKernelMode scoped(kernels::ActiveMode());
-
   graph::SyntheticSpec spec;
   spec.name = "kernel-det";
   spec.num_entities = 200;
@@ -447,22 +526,22 @@ TEST(KernelTrainingIdentityTest, BitIdenticalAcrossKernelSettings) {
 
   for (ModelKind model : {ModelKind::kTransEL1, ModelKind::kDistMult,
                           ModelKind::kComplEx}) {
-    const TrainOutput scalar = TrainWithKernel(core::SystemKind::kHetKgDps,
-                                               model, dataset, "scalar");
-    ASSERT_FALSE(scalar.losses.empty());
-    for (const std::string& kernel : {std::string("vector"),
-                                      std::string("auto")}) {
-      const TrainOutput other = TrainWithKernel(core::SystemKind::kHetKgDps,
-                                                model, dataset, kernel);
-      EXPECT_EQ(other.losses, scalar.losses)
-          << embedding::ModelKindName(model) << " --kernel=" << kernel;
-      EXPECT_EQ(other.metrics, scalar.metrics);
-      ASSERT_EQ(other.embeddings.size(), scalar.embeddings.size());
-      for (size_t j = 0; j < scalar.embeddings.size(); ++j) {
-        ASSERT_EQ(other.embeddings[j], scalar.embeddings[j])
-            << embedding::ModelKindName(model) << " embedding float " << j
-            << " diverged under --kernel=" << kernel;
+    std::optional<TrainOutput> scalar;
+    for (KernelPath path : KernelPaths()) {
+      ScopedKernelPath scoped(path);
+      const TrainOutput out =
+          Train(core::SystemKind::kHetKgDps, model, dataset);
+      if (!scalar.has_value()) {
+        ASSERT_FALSE(out.losses.empty());
+        scalar = out;
+        continue;
       }
+      const std::string where = std::string(embedding::ModelKindName(model)) +
+                                " path=" +
+                                std::string(kernels::KernelPathName(path));
+      EXPECT_TRUE(SameBits(out.losses, scalar->losses)) << where;
+      EXPECT_EQ(out.metrics, scalar->metrics) << where;
+      ASSERT_TRUE(SameBits(out.embeddings, scalar->embeddings)) << where;
     }
   }
 }

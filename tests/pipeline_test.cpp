@@ -532,12 +532,11 @@ TEST(CheckpointFsyncTest, NonDurableCheckpointsStillRestore) {
 TEST(KernelEnvSnapshotTest, SnapshotAndDispatchObserveTheSameValue) {
   using embedding::kernels::ActivePath;
   using embedding::kernels::DispatchEnvSnapshot;
-  using embedding::kernels::KernelMode;
   using embedding::kernels::KernelPath;
-  using embedding::kernels::SetKernelMode;
+  using embedding::kernels::SetKernelPath;
 
   ASSERT_EQ(::setenv("HETKG_KERNEL", "scalar", 1), 0);
-  SetKernelMode(KernelMode::kAuto);
+  ASSERT_TRUE(SetKernelPath(std::nullopt).ok());
   EXPECT_EQ(ActivePath(), KernelPath::kScalar);
   EXPECT_EQ(DispatchEnvSnapshot(), "scalar");
 
@@ -550,7 +549,7 @@ TEST(KernelEnvSnapshotTest, SnapshotAndDispatchObserveTheSameValue) {
   EXPECT_EQ(DispatchEnvSnapshot(), "scalar");
 
   // The next resolution re-reads the (now unset) environment.
-  SetKernelMode(KernelMode::kAuto);
+  ASSERT_TRUE(SetKernelPath(std::nullopt).ok());
   EXPECT_EQ(DispatchEnvSnapshot(), "<unset>");
 }
 

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "embedding/kernels.h"
 #include "embedding/tiered_store.h"
 #include "graph/synthetic.h"
+#include "kernel_paths.h"
 
 namespace hetkg {
 namespace {
@@ -60,19 +62,6 @@ TieredOptions Tiered(const std::string& dir, ColdDtype dtype) {
   opts.dtype = dtype;
   return opts;
 }
-
-/// Restores the process-wide kernel mode on scope exit.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(kernels::KernelMode mode)
-      : saved_(kernels::ActiveMode()) {
-    kernels::SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { kernels::SetKernelMode(saved_); }
-
- private:
-  kernels::KernelMode saved_;
-};
 
 std::vector<float> RandomRow(size_t dim, uint64_t seed, float spread) {
   Rng rng(seed);
@@ -138,38 +127,66 @@ TEST(TieredCodecTest, Int8ConstantRowIsExact) {
 }
 
 TEST(TieredCodecTest, ScalarAndVectorCodecsBitIdentical) {
-  // The codec contract: --kernel is a pure performance knob even when
-  // cold rows round-trip through fp16/int8.
-  const std::vector<float> row = RandomRow(515, 11, 8.0f);  // Odd tail.
-  std::vector<uint16_t> h_scalar(row.size()), h_vector(row.size());
-  std::vector<uint8_t> q_scalar(row.size()), q_vector(row.size());
-  std::vector<float> d_scalar(row.size()), d_vector(row.size());
-  float scale_s = 0, min_s = 0, scale_v = 0, min_v = 0;
-  {
-    ScopedKernelMode mode(kernels::KernelMode::kScalar);
-    kernels::EncodeRowFp16(row, h_scalar.data());
-    kernels::EncodeRowInt8(row, q_scalar.data(), &scale_s, &min_s);
+  // The codec contract: the kernel path is a pure performance knob even
+  // when cold rows round-trip through fp16/int8.
+  const std::vector<float> random_row = RandomRow(515, 11, 8.0f);  // Tail.
+  // The same row with the fp16 boundaries (max finite 65504; 65520,
+  // which rounds to Inf; 2^-14 min normal; 2^-24 min denormal; 2^-25,
+  // which ties to zero), ±Inf and NaN, inside vector blocks and the tail.
+  std::vector<float> special_row = random_row;
+  const float kSpecials[] = {65504.0f,
+                             65520.0f,
+                             -65520.0f,
+                             std::ldexp(1.0f, -14),
+                             std::ldexp(1.0f, -24),
+                             std::ldexp(1.0f, -25),
+                             -std::ldexp(1.0f, -25),
+                             INFINITY,
+                             -INFINITY,
+                             NAN};
+  for (size_t i = 0; i < std::size(kSpecials); ++i) {
+    special_row[i * 37] = kSpecials[i];
+    special_row[special_row.size() - 1 - i % 3] = kSpecials[i];
   }
-  {
-    ScopedKernelMode mode(kernels::KernelMode::kVector);
-    kernels::EncodeRowFp16(row, h_vector.data());
-    kernels::EncodeRowInt8(row, q_vector.data(), &scale_v, &min_v);
+
+  struct Codes {
+    std::vector<uint16_t> half;
+    std::vector<float> half_decoded;
+    std::vector<uint8_t> q;
+    float scale = 0;
+    float min = 0;
+    std::vector<float> q_decoded;
+  };
+  for (bool special : {false, true}) {
+    const std::vector<float>* row = special ? &special_row : &random_row;
+    std::optional<Codes> scalar;
+    for (kernels::KernelPath path : KernelPaths()) {
+      ScopedKernelPath scoped(path);
+      Codes c;
+      c.half.resize(row->size());
+      c.half_decoded.resize(row->size());
+      c.q.resize(row->size());
+      c.q_decoded.resize(row->size());
+      kernels::EncodeRowFp16(*row, c.half.data());
+      kernels::DecodeRowFp16(c.half.data(), c.half_decoded);
+      kernels::EncodeRowInt8(*row, c.q.data(), &c.scale, &c.min);
+      kernels::DecodeRowInt8(c.q.data(), c.scale, c.min, c.q_decoded);
+      if (!scalar.has_value()) {
+        scalar = std::move(c);
+        continue;
+      }
+      const std::string where =
+          std::string(kernels::KernelPathName(path)) +
+          (special ? " special row" : " random row");
+      EXPECT_EQ(c.half, scalar->half) << where;
+      EXPECT_TRUE(SameBits(c.half_decoded, scalar->half_decoded)) << where;
+      EXPECT_EQ(c.q, scalar->q) << where;
+      EXPECT_TRUE(SameBits(std::vector<float>{c.scale, c.min},
+                           std::vector<float>{scalar->scale, scalar->min}))
+          << where;
+      EXPECT_TRUE(SameBits(c.q_decoded, scalar->q_decoded)) << where;
+    }
   }
-  EXPECT_EQ(h_scalar, h_vector);
-  EXPECT_EQ(q_scalar, q_vector);
-  EXPECT_EQ(scale_s, scale_v);
-  EXPECT_EQ(min_s, min_v);
-  {
-    ScopedKernelMode mode(kernels::KernelMode::kScalar);
-    kernels::DecodeRowFp16(h_scalar.data(), d_scalar);
-  }
-  {
-    ScopedKernelMode mode(kernels::KernelMode::kVector);
-    kernels::DecodeRowFp16(h_vector.data(), d_vector);
-  }
-  EXPECT_EQ(std::memcmp(d_scalar.data(), d_vector.data(),
-                        row.size() * sizeof(float)),
-            0);
 }
 
 // ---- Mmap slab + sweep -----------------------------------------------
