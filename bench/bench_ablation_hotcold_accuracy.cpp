@@ -11,15 +11,13 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner(
       "bench_ablation_hotcold_accuracy",
       "Extension - staleness impact split by relation hotness");
 
   const auto dataset = bench::GetDataset("fb15k", flags);
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   if (!flags.IsSet("cache")) {
     base.cache_capacity = 512;  // Enough for staleness to cover reads.
   }
@@ -34,9 +32,7 @@ int main(int argc, char** argv) {
     config.sync.staleness_bound = staleness;
     const std::string tag = std::string(core::SystemKindName(system)) +
                             "_P" + std::to_string(staleness);
-    config.obs.trace_out = bench::SuffixedPath(base.obs.trace_out, tag);
-    config.obs.metrics_json =
-        bench::SuffixedPath(base.obs.metrics_json, tag);
+    config.obs = bench::SuffixedObs(base.obs, tag);
     auto engine = core::MakeEngine(system, config, dataset.graph,
                                    dataset.split.train)
                       .value();

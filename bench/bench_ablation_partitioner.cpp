@@ -10,13 +10,11 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_ablation_partitioner",
                      "Ablation - METIS vs random entity partitioning");
 
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
 
   bench::Table table({"Dataset", "Partitioner", "Cut fraction", "System",
                       "Remote bytes", "Epoch time(s)"});
@@ -50,9 +48,7 @@ int main(int argc, char** argv) {
         const std::string tag =
             name + "_" + partitioner + "_" +
             std::string(core::SystemKindName(system));
-        config.obs.trace_out = bench::SuffixedPath(base.obs.trace_out, tag);
-        config.obs.metrics_json =
-            bench::SuffixedPath(base.obs.metrics_json, tag);
+        config.obs = bench::SuffixedObs(base.obs, tag);
         auto engine = core::MakeEngine(system, config, dataset.graph,
                                        dataset.split.train)
                           .value();

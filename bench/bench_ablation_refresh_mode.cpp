@@ -11,15 +11,13 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner(
       "bench_ablation_refresh_mode",
       "Ablation - full-table refresh (Alg. 3) vs on-access refresh");
 
   const auto dataset = bench::GetDataset("fb15k", flags);
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
 

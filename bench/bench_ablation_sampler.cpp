@@ -10,14 +10,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_ablation_sampler",
                      "Ablation - uniform vs batched negative sampling");
 
   const auto dataset = bench::GetDataset("fb15k", flags);
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);
 

@@ -10,19 +10,15 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  const core::TrainerConfig config = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_fig2_access_skew",
                      "Fig. 2 - embedding access frequency skew per epoch");
 
-  const size_t negatives =
-      static_cast<size_t>(flags.GetInt("negatives"));
-
   for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
     const auto dataset = bench::GetDataset(name, flags);
-    const auto freq = graph::CountEpochAccesses(dataset.graph, negatives,
-                                                flags.GetInt("seed"));
+    const auto freq = graph::CountEpochAccesses(
+        dataset.graph, config.negatives_per_positive, config.seed);
     const auto entity_skew = graph::ComputeSkew(freq.entity);
     const auto relation_skew = graph::ComputeSkew(freq.relation);
 

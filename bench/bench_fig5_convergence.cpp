@@ -9,8 +9,7 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  const core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_fig5_convergence",
                      "Fig. 5 - convergence (valid MRR vs simulated time)");
@@ -20,7 +19,7 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
     const auto dataset = bench::GetDataset(name, flags);
-    core::TrainerConfig config = bench::ConfigFromFlags(flags);
+    core::TrainerConfig config = base;
     bench::ApplyDatasetDefaults(name, flags, &config);
     bench::Table table({"System", "Epoch", "Sim time(s)", "Valid MRR"});
     for (core::SystemKind system :

@@ -9,18 +9,16 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
   flags.Define("proc", "false",
                "also run HET-KG DPS under --runtime=proc (real worker "
                "processes over shm rings) and report measured wall-clock "
                "per worker count — opt-in: it forks 1..8 real processes");
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_fig6_scalability",
                      "Fig. 6 - speedup vs number of workers (Freebase-86m)");
 
   const auto dataset = bench::GetDataset("freebase86m", flags);
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   bench::ApplyDatasetDefaults("freebase86m", flags, &base);
   if (!flags.IsSet("dim")) {
     // Scalability depends on the compute:communication balance. The
@@ -41,9 +39,7 @@ int main(int argc, char** argv) {
       config.pbg_partitions = 2 * machines;
       const std::string tag = std::string(core::SystemKindName(system)) +
                               "_w" + std::to_string(machines);
-      config.obs.trace_out = bench::SuffixedPath(base.obs.trace_out, tag);
-      config.obs.metrics_json =
-          bench::SuffixedPath(base.obs.metrics_json, tag);
+      config.obs = bench::SuffixedObs(base.obs, tag);
       auto engine = core::MakeEngine(system, config, dataset.graph,
                                      dataset.split.train)
                         .value();
@@ -75,7 +71,11 @@ int main(int argc, char** argv) {
         core::TrainerConfig config = base;
         config.num_machines = machines;
         config.pbg_partitions = 2 * machines;
-        config.obs = obs::ObsConfig{};  // The proc runtime rejects obs.
+        // Per-run obs files, as for the sim rows; proc runs merge every
+        // worker's telemetry into them (DESIGN.md §14).
+        const std::string tag = "proc_w" + std::to_string(machines) +
+                                (faults ? "_faults" : "");
+        config.obs = bench::SuffixedObs(base.obs, tag);
         auto engine = core::MakeEngine(core::SystemKind::kHetKgDps, config,
                                        dataset.graph, dataset.split.train)
                           .value();

@@ -10,14 +10,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  const core::TrainerConfig base_config = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner(
       "bench_fig7_breakdown",
       "Fig. 7 - computation vs communication time per epoch");
 
-  const core::TrainerConfig base_config = bench::ConfigFromFlags(flags);
   for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
     const auto dataset = bench::GetDataset(name, flags);
     core::TrainerConfig config = base_config;
@@ -32,10 +30,7 @@ int main(int argc, char** argv) {
       // per-phase split behind this figure's bars.
       const std::string tag =
           name + "_" + std::string(core::SystemKindName(system));
-      config.obs.trace_out =
-          bench::SuffixedPath(base_config.obs.trace_out, tag);
-      config.obs.metrics_json =
-          bench::SuffixedPath(base_config.obs.metrics_json, tag);
+      config.obs = bench::SuffixedObs(base_config.obs, tag);
       auto engine = core::MakeEngine(system, config, dataset.graph,
                                      dataset.split.train)
                         .value();

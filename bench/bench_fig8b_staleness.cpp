@@ -9,14 +9,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_fig8b_staleness",
                      "Fig. 8(b) - impact of bounded staleness P");
 
   const auto dataset = bench::GetDataset("freebase86m", flags);
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   bench::ApplyDatasetDefaults("freebase86m", flags, &base);
   const size_t epochs = static_cast<size_t>(flags.GetInt("epochs"));
   const eval::EvalOptions eval_options = bench::EvalOptionsFromFlags(flags);

@@ -9,14 +9,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_fig8c_entity_ratio",
                      "Fig. 8(c) - impact of the cache's entity ratio");
 
   const auto dataset = bench::GetDataset("freebase86m", flags);
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   bench::ApplyDatasetDefaults("freebase86m", flags, &base);
   const size_t epochs = 1;
 
@@ -25,9 +23,7 @@ int main(int argc, char** argv) {
     core::TrainerConfig config = base;
     config.cache_entity_ratio = ratio;
     const std::string tag = "ratio" + bench::Fmt(ratio * 100.0, 1);
-    config.obs.trace_out = bench::SuffixedPath(base.obs.trace_out, tag);
-    config.obs.metrics_json =
-        bench::SuffixedPath(base.obs.metrics_json, tag);
+    config.obs = bench::SuffixedObs(base.obs, tag);
     auto engine = core::MakeEngine(core::SystemKind::kHetKgDps, config,
                                    dataset.graph, dataset.split.train)
                       .value();

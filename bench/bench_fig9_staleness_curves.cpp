@@ -9,14 +9,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_fig9_staleness_curves",
                      "Fig. 9 - epoch-MRR curves under staleness 1 vs 128");
 
   const auto dataset = bench::GetDataset("freebase86m", flags);
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   bench::ApplyDatasetDefaults("freebase86m", flags, &base);
   if (!flags.IsSet("cache")) {
     // The consistency experiment needs staleness to cover a large share

@@ -9,8 +9,7 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  const core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner(
       "bench_table1_comm_fraction",
@@ -22,11 +21,9 @@ int main(int argc, char** argv) {
                       "Total(s)", "Network share"});
   for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
     const auto dataset = bench::GetDataset(name, flags);
-    core::TrainerConfig config = bench::ConfigFromFlags(flags);
+    core::TrainerConfig config = base;
     bench::ApplyDatasetDefaults(name, flags, &config);
-    config.obs.trace_out = bench::SuffixedPath(config.obs.trace_out, name);
-    config.obs.metrics_json =
-        bench::SuffixedPath(config.obs.metrics_json, name);
+    config.obs = bench::SuffixedObs(config.obs, name);
     auto engine = core::MakeEngine(core::SystemKind::kDglKe, config,
                                    dataset.graph, dataset.split.train)
                       .value();

@@ -9,14 +9,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  const core::TrainerConfig config = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_table3_fb15k",
                      "Table III - link prediction results on FB15k");
 
   const auto dataset = bench::GetDataset("fb15k", flags);
-  const core::TrainerConfig config = bench::ConfigFromFlags(flags);
   bench::RunLinkPredictionTable(
       "Table III: FB15k (synthetic, " +
           std::to_string(dataset.graph.num_triples()) + " triples, d=" +

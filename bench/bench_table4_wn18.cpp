@@ -9,14 +9,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  const core::TrainerConfig config = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_table4_wn18",
                      "Table IV - link prediction results on WN18");
 
   const auto dataset = bench::GetDataset("wn18", flags);
-  const core::TrainerConfig config = bench::ConfigFromFlags(flags);
   bench::RunLinkPredictionTable(
       "Table IV: WN18 (synthetic, " +
           std::to_string(dataset.graph.num_triples()) + " triples, d=" +

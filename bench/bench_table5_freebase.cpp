@@ -11,14 +11,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig config = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_table5_freebase",
                      "Table V - link prediction results on Freebase-86m");
 
   const auto dataset = bench::GetDataset("freebase86m", flags);
-  core::TrainerConfig config = bench::ConfigFromFlags(flags);
   bench::ApplyDatasetDefaults("freebase86m", flags, &config);
   bench::RunLinkPredictionTable(
       "Table V: Freebase-86m (synthetic @" +

@@ -80,8 +80,7 @@ double ReplayHetKg(const StreamSpec& s, size_t capacity, double entity_ratio,
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  const core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner("bench_table6_cache_policies",
                      "Table VI - hit ratio vs simple caching techniques");
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
       {"Dataset", "Capacity", "FIFO", "LRU", "LFU", "Importance", "HET-KG"});
   for (const std::string& name : {"fb15k", "wn18", "freebase86m"}) {
     const auto dataset = bench::GetDataset(name, flags);
-    core::TrainerConfig config = bench::ConfigFromFlags(flags);
+    core::TrainerConfig config = base;
     bench::ApplyDatasetDefaults(name, flags, &config);
     // Policy comparison needs capacities above the per-iteration working
     // set or the access-driven baselines degenerate to zero.

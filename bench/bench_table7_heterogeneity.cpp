@@ -10,14 +10,12 @@
 int main(int argc, char** argv) {
   using namespace hetkg;
   FlagParser flags;
-  bench::DefineCommonFlags(&flags);
-  bench::InitBench(&flags, argc, argv);
+  core::TrainerConfig base = bench::InitBench(&flags, argc, argv);
 
   bench::PrintBanner(
       "bench_table7_heterogeneity",
       "Table VII - effect of the node-heterogeneity cache quota");
 
-  core::TrainerConfig base = bench::ConfigFromFlags(flags);
   if (!flags.IsSet("cache")) {
     // The quota only binds once the cache is large enough for relations
     // to crowd out entities in the global ranking.

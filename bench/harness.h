@@ -43,47 +43,15 @@ std::string Fmt(double value, int digits = 3);
 /// Prints the standard bench banner: binary name + what it reproduces.
 void PrintBanner(const std::string& name, const std::string& what);
 
-/// Registers the flags shared by every table/figure bench:
-///   --dim --epochs --machines --lr --batch --negatives --cache
-///   --staleness --dps_window --triple_fraction --freebase_scale
-///   --eval_triples --eval_candidates --threads --seed, plus the
-/// tiered-storage knobs --storage --cold_dir --cold_dtype
-/// (DESIGN.md §16), plus the
-/// fault-injection knobs --fault_drop --fault_duplicate --fault_delay
-/// --fault_delay_us --fault_retries --fault_backoff_us --fault_seed
-/// (all-zero probabilities = perfect network; a fixed --fault_seed
-/// replays a fault scenario bit-identically), plus the observability
-/// outputs --trace_out --metrics_json --metrics_window (empty paths =
-/// disabled; see DESIGN.md §8).
-/// Defaults are single-core scale; pass paper-scale values to override.
-void DefineCommonFlags(FlagParser* flags);
-
-/// Builds a TrainerConfig from the parsed common flags.
-core::TrainerConfig ConfigFromFlags(const FlagParser& flags);
-
-/// Builds the fault-injection plan from the parsed fault flags;
-/// `enabled` is set iff any fault probability is nonzero.
-sim::FaultConfig FaultConfigFromFlags(const FlagParser& flags);
-
-/// Parses one "machine:tick[,machine:tick...]" process-fault schedule
-/// (--fault_worker_crash / --fault_ps_restart). Malformed items, ids
-/// that do not fit a uint32, and ticks that overflow uint64 (ERANGE)
-/// are InvalidArgument — never silently clamped or wrapped. Exposed so
-/// the rejection paths are unit-testable; the flag plumbing exits(2)
-/// on error like every other malformed-flag path.
-Result<std::vector<sim::ProcessFault>> ParseProcessFaultSpec(
-    const std::string& spec, sim::ProcessFaultKind kind);
-
-/// Builds the observability outputs from --trace_out / --metrics_json /
-/// --metrics_window (empty paths leave tracing and export disabled).
-obs::ObsConfig ObsConfigFromFlags(const FlagParser& flags);
-
 /// Inserts "_tag" before `path`'s extension ("run.json", "cps" ->
 /// "run_cps.json"); appends when there is none. Empty paths stay empty,
 /// so disabled obs outputs pass through unchanged. Benches that train
 /// several systems use this to give each run its own trace/metrics file
 /// instead of letting later runs clobber earlier ones.
 std::string SuffixedPath(const std::string& path, const std::string& tag);
+
+/// `obs` with both output paths (trace, metrics) suffixed by `tag`.
+obs::ObsConfig SuffixedObs(const obs::ObsConfig& obs, const std::string& tag);
 
 /// Evaluation options from the parsed common flags.
 eval::EvalOptions EvalOptionsFromFlags(const FlagParser& flags);
@@ -96,9 +64,12 @@ eval::EvalOptions EvalOptionsFromFlags(const FlagParser& flags);
 graph::SyntheticDataset GetDataset(const std::string& name,
                                    const FlagParser& flags);
 
-/// Parses flags (exits with usage on error) and silences info logs so
-/// table output stays clean.
-void InitBench(FlagParser* flags, int argc, char** argv);
+/// Registers the TrainerConfig flags (core/config_flags.h) at the
+/// benches' single-core defaults plus the bench-only --epochs
+/// --triple_fraction --freebase_scale --eval_*, parses argv, and
+/// returns the bench's base TrainerConfig (exits 2 with usage on a
+/// malformed flag); silences info logs so table output stays clean.
+core::TrainerConfig InitBench(FlagParser* flags, int argc, char** argv);
 
 /// Applies the paper's per-dataset hyperparameters (Table II) for
 /// values the user did not override: Freebase-86m trains with batch 512

@@ -81,16 +81,20 @@ Result<std::unique_ptr<PsTrainingEngine>> PsTrainingEngine::Create(
   return engine;
 }
 
-std::string_view PsTrainingEngine::name() const {
+SystemKind PsTrainingEngine::system() const {
   switch (sync_.config().strategy) {
     case CacheStrategy::kCps:
-      return "HET-KG-C";
+      return SystemKind::kHetKgCps;
     case CacheStrategy::kDps:
-      return "HET-KG-D";
+      return SystemKind::kHetKgDps;
     case CacheStrategy::kNone:
-      return "DGL-KE";
+      break;
   }
-  return "Unknown";
+  return SystemKind::kDglKe;
+}
+
+std::string_view PsTrainingEngine::name() const {
+  return SystemKindName(system());
 }
 
 Status PsTrainingEngine::Setup(const std::vector<Triple>& train) {
@@ -990,19 +994,8 @@ MetricRegistry PsTrainingEngine::CollectObsMetrics(double sim_seconds) const {
 
 Result<TrainReport> PsTrainingEngine::Train(size_t num_epochs) {
   if (step_driver_ == nullptr) return TrainInner(num_epochs);
-  // Process runtime (DESIGN.md §13). The step driver services worker
-  // RPCs strictly in sim order, which is only well-defined for the
-  // deterministic scheduler, and real worker processes make the sim's
-  // scheduled process faults redundant — real SIGKILLs replace them.
-  if (async_mode_) {
-    return Status::InvalidArgument(
-        "--runtime=proc requires the deterministic scheduler (drop --async)");
-  }
-  if (!config_.fault.process_faults.empty()) {
-    return Status::InvalidArgument(
-        "--runtime=proc replaces simulated process faults with real worker "
-        "kills (drop --fault_process)");
-  }
+  // Process runtime (DESIGN.md §13). The launch entry points already
+  // refused the configs it cannot drive (ValidateConfig, proc rules).
   for (;;) {
     Result<TrainReport> report = TrainInner(num_epochs);
     if (report.ok() || !step_driver_->WorkerFailed()) return report;

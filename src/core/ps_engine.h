@@ -69,6 +69,11 @@ class PsTrainingEngine : public TrainingEngine {
       const std::vector<Triple>& train);
 
   std::string_view name() const override;
+  /// Which PS system this engine is (from its cache strategy) and the
+  /// config it trains with — what the proc launch entry points hand to
+  /// ValidateConfig.
+  SystemKind system() const;
+  const TrainerConfig& config() const { return config_; }
   void EnableValidation(const graph::KnowledgeGraph* graph,
                         std::span<const Triple> valid,
                         const eval::EvalOptions& options) override;

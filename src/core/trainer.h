@@ -227,11 +227,23 @@ class CheckpointLookup : public eval::EmbeddingLookup {
   const embedding::Checkpoint* checkpoint_;
 };
 
+/// The feature-compatibility rules (DESIGN.md §5 "Configuration
+/// surface"), in one place: returns InvalidArgument naming the
+/// conflicting flags when `config` asks `system` for a combination it
+/// cannot train — tiered storage without --cold_dir or with PBG, and,
+/// under the process runtime (`proc_runtime`), PBG, tiered storage,
+/// --async, or simulated process faults. MakeEngine checks the sim
+/// rules; the proc launch entry points (net/proc_runtime.h) check the
+/// proc rules before anything forks.
+Status ValidateConfig(SystemKind system, const TrainerConfig& config,
+                      bool proc_runtime);
+
 /// Builds the engine for `system`, wiring the sync strategy implied by
 /// the system kind (CPS/DPS/no-cache) into `config.sync.strategy`.
 /// `graph` supplies entity/relation counts and the partitioning
 /// structure; `train` is the triple list to train on. Both must outlive
-/// the engine.
+/// the engine. Rejects what ValidateConfig(system, config, false)
+/// rejects.
 Result<std::unique_ptr<TrainingEngine>> MakeEngine(
     SystemKind system, const TrainerConfig& config,
     const graph::KnowledgeGraph& graph, const std::vector<Triple>& train);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 namespace hetkg::embedding {
@@ -107,6 +108,10 @@ Result<EmbeddingTable> EmbeddingTable::CreateTiered(
     return Status::InvalidArgument(
         "tiered storage requires a cold_dir (--cold_dir)");
   }
+  // Created like the checkpoint directory (mkdir -p); a failure
+  // surfaces as the slab file's IoError below.
+  std::error_code ec;
+  std::filesystem::create_directories(opts.cold_dir, ec);
   const size_t row_bytes = ColdRowBytes(opts.dtype, dim);
   HETKG_ASSIGN_OR_RETURN(
       MmapFile slab,

@@ -83,6 +83,20 @@ SyntheticSpec Freebase86mSpec(double scale) {
   return spec;
 }
 
+Result<SyntheticSpec> SyntheticSpecByName(std::string_view name,
+                                          double freebase_scale) {
+  if (name == "fb15k") return Fb15kSpec();
+  if (name == "wn18") return Wn18Spec();
+  if (name == "freebase86m") {
+    if (!(freebase_scale > 0.0 && freebase_scale <= 1.0)) {
+      return Status::InvalidArgument("--freebase_scale must be in (0, 1]");
+    }
+    return Freebase86mSpec(freebase_scale);
+  }
+  return Status::InvalidArgument("unknown dataset: " + std::string(name) +
+                                 " (want fb15k | wn18 | freebase86m)");
+}
+
 Result<KnowledgeGraph> GenerateSynthetic(const SyntheticSpec& spec) {
   if (spec.num_entities < 2) {
     return Status::InvalidArgument("need at least two entities");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "graph/knowledge_graph.h"
@@ -61,6 +62,12 @@ SyntheticSpec Wn18Spec();
 /// 14,824 relations (relation vocabulary is kept full-size: hotness of
 /// relations is a headline effect), and 3,385,863 triples.
 SyntheticSpec Freebase86mSpec(double scale = 0.01);
+
+/// The preset called `name` ("fb15k" | "wn18" | "freebase86m", the
+/// last at `freebase_scale`). An unknown name or a scale outside
+/// (0, 1] is InvalidArgument.
+Result<SyntheticSpec> SyntheticSpecByName(std::string_view name,
+                                          double freebase_scale);
 
 /// Generates a graph from `spec`. Fails if the triple budget cannot be
 /// met (e.g., dedup enabled on an over-dense spec).

@@ -32,6 +32,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/baseline_caches.h"
+#include "core/config_flags.h"
 #include "core/hot_embedding_table.h"
 #include "core/hot_filter.h"
 #include "core/parallel_batch.h"

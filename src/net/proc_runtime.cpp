@@ -357,11 +357,42 @@ int ProcWorker::Run() {
   return exit_code;
 }
 
+Status ValidateProcOptions(const ProcOptions& options) {
+  if (options.watchdog_ms > 0 && options.heartbeat_ms <= 0) {
+    return Status::InvalidArgument(
+        "--proc_watchdog_ms needs --proc_heartbeat_ms > 0 (a "
+        "silent-but-healthy worker would be escalated); pass "
+        "--proc_watchdog_ms=0 to disable the watchdog");
+  }
+  if (!options.stops.empty() &&
+      (options.watchdog_ms <= 0 || options.heartbeat_ms <= 0)) {
+    return Status::InvalidArgument(
+        "--proc_stop freezes a worker forever; only the watchdog can "
+        "recover it (needs --proc_heartbeat_ms > 0 and --proc_watchdog_ms "
+        "> 0)");
+  }
+  return Status::OK();
+}
+
+namespace {
+
+// The gate at the top of every proc entry point: nothing forks,
+// listens or connects for a config or option set the runtime refuses.
+Status ValidateProcLaunch(const core::PsTrainingEngine& engine,
+                          const ProcOptions& options) {
+  HETKG_RETURN_IF_ERROR(core::ValidateConfig(engine.system(), engine.config(),
+                                             /*proc_runtime=*/true));
+  return ValidateProcOptions(options);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ProcCoordinator.
 
 Result<std::unique_ptr<ProcCoordinator>> ProcCoordinator::ForkWorkers(
     core::PsTrainingEngine* engine, const ProcOptions& options) {
+  HETKG_RETURN_IF_ERROR(ValidateProcLaunch(*engine, options));
   std::unique_ptr<ProcCoordinator> coord(
       new ProcCoordinator(engine, options));
   coord->links_.resize(engine->workers_.size());
@@ -376,6 +407,7 @@ Result<std::unique_ptr<ProcCoordinator>> ProcCoordinator::ForkWorkers(
 Result<std::unique_ptr<ProcCoordinator>> ProcCoordinator::ListenForWorkers(
     core::PsTrainingEngine* engine, uint16_t port,
     const ProcOptions& options) {
+  HETKG_RETURN_IF_ERROR(ValidateProcLaunch(*engine, options));
   std::unique_ptr<ProcCoordinator> coord(
       new ProcCoordinator(engine, options));
   coord->standalone_ = true;
@@ -1264,6 +1296,7 @@ Status ProcCoordinator::Shutdown() {
 Status RunStandaloneWorker(core::PsTrainingEngine* engine, uint32_t machine,
                            const std::string& host, uint16_t port,
                            const ProcOptions& options) {
+  HETKG_RETURN_IF_ERROR(ValidateProcLaunch(*engine, options));
   HETKG_ASSIGN_OR_RETURN(std::unique_ptr<TcpChannel> channel,
                          TcpConnect(host, port, options.retry));
   NetFaultStats fault_stats;

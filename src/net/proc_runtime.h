@@ -78,6 +78,15 @@ struct ProcOptions {
   size_t flight_slots = obs::FlightRecorder::kDefaultSlots;
 };
 
+/// The process runtime's option rules (DESIGN.md §5): the watchdog
+/// needs heartbeats (a silent-but-healthy worker would be escalated),
+/// and a scheduled SIGSTOP needs the watchdog (nothing else recovers
+/// it). Violations are InvalidArgument naming the flags. ForkWorkers,
+/// ListenForWorkers and RunStandaloneWorker check these and
+/// core::ValidateConfig's proc rules before anything forks, listens or
+/// connects.
+Status ValidateProcOptions(const ProcOptions& options);
+
 /// The worker-process side of the PsBackend seam: every shared-state
 /// mutation the pipeline stages perform is serialized as an RPC to the
 /// coordinator, which applies it to the authoritative server/cluster

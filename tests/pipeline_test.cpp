@@ -25,7 +25,6 @@
 #include "embedding/checkpoint.h"
 #include "embedding/kernels.h"
 #include "graph/synthetic.h"
-#include "harness.h"
 #include "sim/transport.h"
 
 namespace hetkg {
@@ -408,58 +407,6 @@ TEST(AsyncPipelineTest, WorkerCrashRecoveredInAsyncMode) {
   ASSERT_EQ(report.epochs.size(), 2u);
   const auto* ps = static_cast<core::PsTrainingEngine*>(engine.get());
   EXPECT_LE(ps->MaxObservedPipelineLag(), 2u);
-}
-
-// ---------------------------------------------------------------------
-// Bugfix regressions: --fault_worker_crash / --fault_ps_restart parsing
-// ---------------------------------------------------------------------
-
-TEST(ProcessFaultParseTest, AcceptsValidSchedule) {
-  const auto faults =
-      bench::ParseProcessFaultSpec("0:10,1:250",
-                                   sim::ProcessFaultKind::kWorkerCrash)
-          .value();
-  ASSERT_EQ(faults.size(), 2u);
-  EXPECT_EQ(faults[0].machine, 0u);
-  EXPECT_EQ(faults[0].tick, 10u);
-  EXPECT_EQ(faults[1].machine, 1u);
-  EXPECT_EQ(faults[1].tick, 250u);
-  EXPECT_EQ(faults[1].kind, sim::ProcessFaultKind::kWorkerCrash);
-}
-
-TEST(ProcessFaultParseTest, RejectsMachineIdAboveUint32) {
-  // 2^32 does not fit a uint32 machine id; before the fix strtoul on
-  // LP64 silently accepted it (unsigned long is 64-bit there).
-  const auto result = bench::ParseProcessFaultSpec(
-      "4294967296:10", sim::ProcessFaultKind::kWorkerCrash);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ProcessFaultParseTest, RejectsTickOverflow) {
-  // Overflows uint64: strtoull sets ERANGE and clamps to ULLONG_MAX,
-  // which the pre-fix parser accepted as a wrapped/clamped tick.
-  const auto result = bench::ParseProcessFaultSpec(
-      "1:99999999999999999999999999", sim::ProcessFaultKind::kPsShardRestart);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ProcessFaultParseTest, RejectsMalformedItems) {
-  for (const std::string spec :
-       {"abc", "1", "1:", ":5", "1:x", "1:2:3", "-1:5", "1:-5", "1: 5",
-        "+1:5", "1:5,"}) {
-    SCOPED_TRACE("spec=\"" + spec + "\"");
-    EXPECT_FALSE(bench::ParseProcessFaultSpec(
-                     spec, sim::ProcessFaultKind::kWorkerCrash)
-                     .ok());
-  }
-  // The empty default of --fault_worker_crash is an empty schedule,
-  // not an error.
-  EXPECT_TRUE(bench::ParseProcessFaultSpec(
-                  "", sim::ProcessFaultKind::kWorkerCrash)
-                  .value()
-                  .empty());
 }
 
 // ---------------------------------------------------------------------
