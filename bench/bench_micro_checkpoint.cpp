@@ -1,13 +1,17 @@
 // google-benchmark micro-benchmarks for the crash-recovery hot paths
 // (DESIGN.md §9): HETKGCK2 eval-checkpoint save/load at several table
-// sizes, and full training-state snapshot save/restore through a live
-// engine. Throughput is reported as rows/sec (items) and bytes/sec.
+// sizes, full training-state snapshot save/restore through a live
+// engine, and the CRC-32 engine that checksums every snapshot and wire
+// frame. Throughput is reported as rows/sec (items) and bytes/sec.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "hetkg/hetkg.h"
 
 namespace {
@@ -147,6 +151,39 @@ void BM_TrainStateRestore(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_TrainStateRestore)->Unit(benchmark::kMillisecond);
+
+/// One CRC-32 body (common/crc32_internal.h) over one buffer. Arg 0
+/// picks the body (0 slicing-by-8, 1 PCLMULQDQ folding); arg 1 is the
+/// size: the mean frame of each bench/e2e workload (64, 6212, 19989 and
+/// 86795 B) and a checkpoint-sized 16 MiB.
+void BM_Crc32(benchmark::State& state) {
+  const bool folding = state.range(0) == 1;
+  const size_t size = static_cast<size_t>(state.range(1));
+  auto update = &crc32_internal::UpdatePortable;
+  bool supported = !folding;
+#if defined(__x86_64__)
+  if (folding) {
+    update = &crc32_internal::UpdateFolding;
+    supported = crc32_internal::CpuHasFolding();
+  }
+#endif
+  if (!supported) {
+    state.SkipWithError("the folding body needs PCLMULQDQ and SSE4.1");
+    return;
+  }
+  state.SetLabel(folding ? "folding" : "slicing-by-8");
+  std::vector<uint8_t> data(size);
+  Rng rng(17);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.NextUint64());
+  for (auto _ : state) {
+    uint32_t crc = update(Crc32Init(), data.data(), data.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * size);
+}
+BENCHMARK(BM_Crc32)
+    ->ArgsProduct({{0, 1}, {64, 6212, 19989, 86795, 16 << 20}})
+    ->ArgNames({"folding", "bytes"});
 
 }  // namespace
 

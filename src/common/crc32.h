@@ -6,10 +6,16 @@
 
 namespace hetkg {
 
-/// IEEE CRC-32 (polynomial 0xEDB88320, the zlib/PNG variant), table
-/// driven. Detects any single-byte corruption of a checkpoint payload,
-/// unlike the order-sensitive XOR fold the HETKGCK1 format used (which
-/// a pair of compensating flips could defeat).
+/// IEEE CRC-32 (polynomial 0xEDB88320 reflected, init and xorout
+/// 0xFFFFFFFF: the zlib/PNG variant). Detects any single-byte
+/// corruption of a checkpoint payload, unlike the order-sensitive XOR
+/// fold the HETKGCK1 format used (which a pair of compensating flips
+/// could defeat).
+///
+/// On x86-64 CPUs with PCLMULQDQ and SSE4.1 the bulk of each buffer is
+/// folded with carry-less multiplies; elsewhere, and for short inputs
+/// and tails, slicing-by-8 tables. The body is picked once per process
+/// and both give the same value (common/crc32_internal.h).
 ///
 /// `Crc32(data, size)` checksums one buffer; the Update form chains
 /// over multiple buffers:

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -277,9 +279,14 @@ Result<CheckpointReader> CheckpointReader::Open(const std::string& path) {
   if (!in) {
     return Status::IoError("cannot open " + path);
   }
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
+  std::error_code ec;
+  const uintmax_t file_size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    return Status::IoError("cannot size " + path + ": " + ec.message());
+  }
+  std::string blob(static_cast<size_t>(file_size), '\0');
+  in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
+  if (static_cast<uintmax_t>(in.gcount()) != file_size) {
     return Status::IoError("read failed for " + path);
   }
   if (blob.size() < sizeof(kMagicV2) + sizeof(uint64_t) + sizeof(uint32_t)) {
