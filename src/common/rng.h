@@ -65,6 +65,12 @@ class Rng {
     has_cached_gaussian_ = r->U8() != 0;
     return r->ok();
   }
+  /// LoadState for a generator held by a larger object being restored.
+  Commit StageState(ByteReader* r) {
+    Rng staged = *this;
+    if (!staged.LoadState(r)) return {};
+    return [this, staged] { *this = staged; };
+  }
 
  private:
   uint64_t state_[4];
@@ -117,7 +123,7 @@ class AliasSampler {
   /// Stream-position snapshot (the alias tables are config-derived and
   /// rebuilt at construction; only the RNG advances).
   void SaveState(ByteWriter* w) const { rng_.SaveState(w); }
-  bool LoadState(ByteReader* r) { return rng_.LoadState(r); }
+  Commit StageState(ByteReader* r) { return rng_.StageState(r); }
 
  private:
   std::vector<double> prob_;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,6 +87,13 @@ class ByteReader {
     return true;
   }
 
+  /// The next `size` bytes, in place (nullptr past the end).
+  const char* View(size_t size) {
+    if (!Require(size)) return nullptr;
+    pos_ += size;
+    return data_ + pos_ - size;
+  }
+
   bool ok() const { return ok_; }
   size_t remaining() const { return size_ - pos_; }
 
@@ -104,9 +112,13 @@ class ByteReader {
   std::vector<T> Vec() {
     const uint64_t n = U64();
     std::vector<T> v;
-    if (!Require(n * sizeof(T))) return v;
+    // Divide rather than multiply: n * sizeof(T) wraps for n >= 2^61.
+    if (!ok_ || n > remaining() / sizeof(T)) {
+      ok_ = false;
+      return v;
+    }
     v.resize(n);
-    std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+    if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
@@ -124,6 +136,18 @@ class ByteReader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// Decode-then-commit (DESIGN.md §9): a `StageState` decoder validates
+/// its bytes without touching its object and returns the commit that
+/// installs them (empty when rejected). A commit cannot fail; it may
+/// copy from the decoded bytes, so run it while they are alive.
+using Commit = std::function<void()>;
+
+/// Runs `commit` if the bytes were accepted; returns whether they were.
+inline bool Apply(const Commit& commit) {
+  if (commit) commit();
+  return static_cast<bool>(commit);
+}
 
 }  // namespace hetkg
 

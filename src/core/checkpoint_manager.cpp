@@ -8,6 +8,8 @@
 #include <sstream>
 
 #include "common/fs_sync.h"
+#include "common/logging.h"
+#include "core/trainer.h"
 
 namespace hetkg::core {
 
@@ -42,6 +44,21 @@ bool ParseColdSidecarName(const std::string& name, std::string* base) {
 CheckpointManager::CheckpointManager(std::string dir, size_t keep,
                                      bool fsync)
     : dir_(std::move(dir)), keep_(keep), fsync_(fsync) {}
+
+Result<std::unique_ptr<CheckpointManager>> CheckpointManager::ForConfig(
+    const TrainerConfig& config, MetricRegistry* recovery) {
+  if (config.checkpoint_dir.empty()) {
+    return std::unique_ptr<CheckpointManager>();
+  }
+  auto manager = std::make_unique<CheckpointManager>(
+      config.checkpoint_dir, config.keep_checkpoints,
+      config.checkpoint_fsync);
+  HETKG_ASSIGN_OR_RETURN(const size_t orphans, manager->Prepare());
+  if (orphans > 0) {
+    recovery->Increment(metric::kCheckpointOrphanTemps, orphans);
+  }
+  return manager;
+}
 
 Result<size_t> CheckpointManager::Prepare() {
   std::error_code ec;
@@ -189,6 +206,30 @@ Status CheckpointManager::Commit(uint64_t iteration) {
     }
   }
   return Status::OK();
+}
+
+Status CheckpointManager::Save(uint64_t iteration,
+                               const embedding::CheckpointWriter& snapshot) {
+  HETKG_RETURN_IF_ERROR(snapshot.WriteAtomic(SnapshotPath(iteration), fsync_));
+  return Commit(iteration);
+}
+
+Status CheckpointManager::TryCandidates(
+    const std::string& resume_from, MetricRegistry* recovery,
+    const std::function<Status(const std::string& path)>& try_one) {
+  HETKG_ASSIGN_OR_RETURN(const std::vector<std::string> candidates,
+                         ResumeCandidates(resume_from));
+  Status last = Status::NotFound("no resume candidates");
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    last = try_one(candidates[i]);
+    if (last.ok()) break;
+    HETKG_LOG(Warning) << "snapshot " << candidates[i]
+                       << " rejected: " << last.ToString();
+    if (i + 1 < candidates.size()) {
+      recovery->Increment(metric::kCheckpointFallbacks);
+    }
+  }
+  return last;
 }
 
 Result<std::vector<std::string>> CheckpointManager::ResumeCandidates(

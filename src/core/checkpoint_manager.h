@@ -2,12 +2,18 @@
 #define HETKG_CORE_CHECKPOINT_MANAGER_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
+#include "embedding/checkpoint.h"
 
 namespace hetkg::core {
+
+struct TrainerConfig;
 
 /// One line of a checkpoint directory's MANIFEST.
 struct ManifestEntry {
@@ -37,6 +43,11 @@ class CheckpointManager {
   /// reference a snapshot whose bytes were not yet on stable storage.
   CheckpointManager(std::string dir, size_t keep, bool fsync = true);
 
+  /// config.checkpoint_dir after Prepare(), its orphans counted in
+  /// `recovery`; null when checkpointing is off.
+  static Result<std::unique_ptr<CheckpointManager>> ForConfig(
+      const TrainerConfig& config, MetricRegistry* recovery);
+
   /// Creates the directory (like mkdir -p) and removes orphaned "*.tmp"
   /// files left by a crashed writer. Returns the number of orphans
   /// removed.
@@ -50,11 +61,14 @@ class CheckpointManager {
   /// manifest and prunes entries beyond the retention limit.
   Status Commit(uint64_t iteration);
 
+  /// Writes `snapshot` to SnapshotPath(iteration), then commits it.
+  Status Save(uint64_t iteration,
+              const embedding::CheckpointWriter& snapshot);
+
   /// Manifest entries, oldest first. Missing manifest = empty list.
   Result<std::vector<ManifestEntry>> ReadManifest() const;
 
   const std::string& dir() const { return dir_; }
-  size_t keep() const { return keep_; }
   bool fsync_enabled() const { return fsync_; }
 
   /// Resolves a --resume_from argument into snapshot paths to try,
@@ -63,6 +77,13 @@ class CheckpointManager {
   /// corrupt latest snapshot falls back to the previous one).
   static Result<std::vector<std::string>> ResumeCandidates(
       const std::string& resume_from);
+
+  /// Runs `try_one` on each ResumeCandidates(resume_from) until one
+  /// returns OK, logging each rejection and counting each fallback to
+  /// an older one in `recovery`. Returns the last error.
+  static Status TryCandidates(
+      const std::string& resume_from, MetricRegistry* recovery,
+      const std::function<Status(const std::string& path)>& try_one);
 
  private:
   Status WriteManifest(const std::vector<ManifestEntry>& entries) const;

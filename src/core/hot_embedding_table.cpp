@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -174,13 +175,13 @@ void HotEmbeddingTable::SaveState(ByteWriter* w) const {
   save_slab(relation_rows_, relation_opt_);
 }
 
-bool HotEmbeddingTable::LoadState(ByteReader* r) {
+Commit HotEmbeddingTable::StageState(ByteReader* r) {
   if (r->U64() != entity_slots_ || r->U64() != relation_slots_ ||
       r->U64() != entity_rows_.dim() || r->U64() != relation_rows_.dim()) {
-    return false;
+    return {};
   }
   const uint64_t count = r->U64();
-  if (!r->ok() || count > capacity()) return false;
+  if (!r->ok() || count > capacity()) return {};
   std::unordered_map<EmbKey, SlotRef> index;
   index.reserve(count * 2);
   for (uint64_t i = 0; i < count; ++i) {
@@ -190,24 +191,33 @@ bool HotEmbeddingTable::LoadState(ByteReader* r) {
     if (!r->ok() ||
         slot >= (is_relation ? relation_slots_ : entity_slots_) ||
         !index.emplace(key, SlotRef{is_relation, slot}).second) {
-      return false;
+      return {};
     }
   }
-  auto load_slab = [&](embedding::EmbeddingTable* rows,
-                       embedding::AdaGrad* opt) {
-    std::vector<float> row(rows->dim());
-    for (size_t i = 0; i < rows->num_rows(); ++i) {
-      if (!r->ReadRaw(row.data(), row.size() * sizeof(float))) return false;
-      rows->SetRow(i, row);
-    }
-    return opt->LoadState(r);
+  // Rows stay in the decoded bytes until the commit copies them.
+  auto stage_slab = [r](embedding::EmbeddingTable* rows,
+                        embedding::AdaGrad* opt) -> Commit {
+    const size_t row_bytes = rows->dim() * sizeof(float);
+    const char* data = r->View(rows->num_rows() * row_bytes);
+    Commit accum = data != nullptr ? opt->StageState(r) : Commit();
+    if (!accum) return {};
+    return [rows, data, row_bytes, accum = std::move(accum)] {
+      for (size_t i = 0; i < rows->num_rows(); ++i) {
+        std::memcpy(rows->Row(i).data(), data + i * row_bytes, row_bytes);
+      }
+      accum();
+    };
   };
-  if (!load_slab(&entity_rows_, &entity_opt_) ||
-      !load_slab(&relation_rows_, &relation_opt_)) {
-    return false;
-  }
-  index_ = std::move(index);
-  return true;
+  Commit entity = stage_slab(&entity_rows_, &entity_opt_);
+  Commit relation = entity ? stage_slab(&relation_rows_, &relation_opt_)
+                           : Commit();
+  if (!relation) return {};
+  return [this, entity = std::move(entity), relation = std::move(relation),
+          index = std::move(index)]() mutable {
+    entity();
+    relation();
+    index_ = std::move(index);
+  };
 }
 
 }  // namespace hetkg::core

@@ -76,10 +76,11 @@ class HotEmbeddingTable {
   /// Serializes the full cache state — key->slot index (in sorted key
   /// order, so the payload is independent of hash iteration order),
   /// both row slabs, and both local AdaGrad accumulators — for the
-  /// HETKGCK2 per-worker sections. LoadState validates the shape
-  /// against this table's configuration and replaces the contents.
+  /// HETKGCK2 per-worker sections. StageState validates the shape
+  /// against this table's configuration; its commit replaces the
+  /// contents.
   void SaveState(ByteWriter* w) const;
-  bool LoadState(ByteReader* r);
+  Commit StageState(ByteReader* r);
 
  private:
   struct SlotRef {

@@ -100,17 +100,8 @@ Status PbgEngine::Setup(const std::vector<Triple>& train) {
   machine_held_.assign(config_.num_machines, {});
   obs_active_ = config_.obs.Enabled();
 
-  if (!config_.checkpoint_dir.empty()) {
-    ckpt_manager_ = std::make_unique<CheckpointManager>(
-        config_.checkpoint_dir, config_.keep_checkpoints,
-        config_.checkpoint_fsync);
-    HETKG_ASSIGN_OR_RETURN(const size_t orphan_temps,
-                           ckpt_manager_->Prepare());
-    if (orphan_temps > 0) {
-      recovery_metrics_.Increment(metric::kCheckpointOrphanTemps,
-                                  orphan_temps);
-    }
-  }
+  HETKG_ASSIGN_OR_RETURN(
+      ckpt_manager_, CheckpointManager::ForConfig(config_, &recovery_metrics_));
   return Status::OK();
 }
 
@@ -479,10 +470,7 @@ Result<TrainReport> PbgEngine::Train(size_t num_epochs) {
       recovery_metrics_.Increment(metric::kCheckpointSaves);
       recovery_metrics_.Increment(metric::kCheckpointBytes,
                                   writer.payload_bytes());
-      HETKG_RETURN_IF_ERROR(
-          writer.WriteAtomic(ckpt_manager_->SnapshotPath(epochs_done_),
-                             config_.checkpoint_fsync));
-      HETKG_RETURN_IF_ERROR(ckpt_manager_->Commit(epochs_done_));
+      HETKG_RETURN_IF_ERROR(ckpt_manager_->Save(epochs_done_, writer));
     }
 
     if (metrics_on) {
@@ -554,17 +542,14 @@ void PbgEngine::MaybeInjectProcessFaults() {
   }
 }
 
-void PbgEngine::BuildSnapshot(embedding::CheckpointWriter* writer) const {
-  ByteWriter meta;
-  meta.Str(name());
-  meta.U64(config_.num_machines);
-  meta.U64(config_.dim);
-  meta.U64(score_fn_->RelationDim(config_.dim));
-  meta.U64(config_.batch_size);
-  meta.U64(config_.pbg_partitions);
-  meta.U64(config_.seed);
-  writer->AddSection(embedding::SectionTag::kTrainerMeta, std::move(meta));
+TrainerMeta PbgEngine::SnapshotMeta() const {
+  return {std::string(name()), config_.num_machines, config_.dim,
+          score_fn_->RelationDim(config_.dim), config_.batch_size,
+          config_.pbg_partitions, config_.seed};
+}
 
+void PbgEngine::BuildSnapshot(embedding::CheckpointWriter* writer) const {
+  SnapshotMeta().Encode(writer);
   embedding::AppendTableSection(writer, embedding::SectionTag::kEntityTable,
                                 entities_);
   embedding::AppendTableSection(writer,
@@ -588,11 +573,69 @@ void PbgEngine::BuildSnapshot(embedding::CheckpointWriter* writer) const {
   metrics_.SaveState(&state);
   writer->AddSection(embedding::SectionTag::kPbgState, std::move(state));
 
-  ByteWriter cluster_state;
-  cluster_.SaveState(&cluster_state);
-  transport_.SaveState(&cluster_state);
-  writer->AddSection(embedding::SectionTag::kClusterState,
-                     std::move(cluster_state));
+  EncodeClusterSection(cluster_, transport_, writer);
+}
+
+Result<Commit> PbgEngine::StagePbgState(std::string_view payload) {
+  ByteReader r(payload);
+  const uint64_t epochs_done = r.U64();
+  const double cumulative = r.F64();
+  PhaseSeconds phase;
+  phase.swap = r.F64();
+  phase.compute = r.F64();
+  phase.relation_sync = r.F64();
+  const Status bad = Status::Corruption("bad PBG state section");
+  Rng rng(0);
+  if (!r.ok() || !rng.LoadState(&r)) return bad;
+  Commit entity_opt = entity_opt_->StageState(&r);
+  Commit relation_opt = entity_opt ? relation_opt_->StageState(&r) : Commit();
+  const uint64_t held_count = r.U64();
+  if (!relation_opt || !r.ok() || held_count != machine_held_.size()) {
+    return bad;
+  }
+  std::vector<std::vector<uint32_t>> held(machine_held_.size());
+  for (std::vector<uint32_t>& partitions_held : held) {
+    const uint64_t n = r.U64();
+    if (!r.ok() || n > plan_.num_partitions) return bad;
+    partitions_held.resize(n);
+    for (uint32_t& p : partitions_held) {
+      p = r.U32();
+      if (!r.ok() || p >= plan_.num_partitions) return bad;
+    }
+  }
+  MetricRegistry metrics;
+  if (!metrics.LoadState(&r) || r.remaining() != 0) return bad;
+  return Commit([=, this, entity_opt = std::move(entity_opt),
+                 relation_opt = std::move(relation_opt),
+                 held = std::move(held),
+                 metrics = std::move(metrics)]() mutable {
+    entity_opt();
+    relation_opt();
+    rng_ = rng;
+    machine_held_ = std::move(held);
+    metrics_ = std::move(metrics);
+    epochs_done_ = static_cast<size_t>(epochs_done);
+    cumulative_seconds_ = cumulative;
+    phase_ = phase;
+  });
+}
+
+Result<Commit> PbgEngine::StageSnapshotSection(embedding::SectionTag tag,
+                                               std::string_view payload) {
+  switch (tag) {
+    case embedding::SectionTag::kTrainerMeta: {
+      HETKG_ASSIGN_OR_RETURN(const TrainerMeta meta,
+                             TrainerMeta::Decode(payload));
+      HETKG_RETURN_IF_ERROR(SnapshotMeta().Match(meta));
+      return Commit([] {});
+    }
+    case embedding::SectionTag::kPbgState:
+      return StagePbgState(payload);
+    case embedding::SectionTag::kClusterState:
+      return StageClusterSection(payload, &cluster_, &transport_);
+    default:
+      return Status::InvalidArgument("not a PBG engine section");
+  }
 }
 
 Status PbgEngine::SaveTrainState(const std::string& path) const {
@@ -602,39 +645,26 @@ Status PbgEngine::SaveTrainState(const std::string& path) const {
 }
 
 Status PbgEngine::RestoreFromFile(const std::string& path) {
+  using embedding::SectionTag;
   HETKG_ASSIGN_OR_RETURN(const embedding::CheckpointReader reader,
                          embedding::CheckpointReader::Open(path));
-  const std::string* meta =
-      reader.Find(embedding::SectionTag::kTrainerMeta);
-  if (meta == nullptr) {
-    return Status::Corruption("snapshot missing trainer meta section");
+  // Decode every section before the first commit, so a rejected
+  // snapshot leaves the engine untouched.
+  std::vector<Commit> staged;
+  for (const SectionTag tag : {SectionTag::kTrainerMeta,
+                               SectionTag::kPbgState,
+                               SectionTag::kClusterState}) {
+    HETKG_ASSIGN_OR_RETURN(const std::string_view payload,
+                           RequireSection(reader, tag));
+    HETKG_ASSIGN_OR_RETURN(staged.emplace_back(),
+                           StageSnapshotSection(tag, payload));
   }
-  ByteReader mr(*meta);
-  const std::string snap_name = mr.Str();
-  const uint64_t machines = mr.U64();
-  const uint64_t dim = mr.U64();
-  const uint64_t relation_dim = mr.U64();
-  const uint64_t batch_size = mr.U64();
-  const uint64_t partitions = mr.U64();
-  const uint64_t seed = mr.U64();
-  if (!mr.ok() || mr.remaining() != 0) {
-    return Status::Corruption("bad trainer meta section");
-  }
-  if (snap_name != name() || machines != config_.num_machines ||
-      dim != config_.dim ||
-      relation_dim != score_fn_->RelationDim(config_.dim) ||
-      batch_size != config_.batch_size ||
-      partitions != config_.pbg_partitions || seed != config_.seed) {
-    return Status::FailedPrecondition(
-        "snapshot was written by a different training configuration");
-  }
-
   HETKG_ASSIGN_OR_RETURN(
       embedding::EmbeddingTable entities,
-      ReadTableSection(reader, embedding::SectionTag::kEntityTable));
+      ReadTableSection(reader, SectionTag::kEntityTable));
   HETKG_ASSIGN_OR_RETURN(
       embedding::EmbeddingTable relations,
-      ReadTableSection(reader, embedding::SectionTag::kRelationTable));
+      ReadTableSection(reader, SectionTag::kRelationTable));
   if (entities.num_rows() != entities_.num_rows() ||
       entities.dim() != entities_.dim() ||
       relations.num_rows() != relations_.num_rows() ||
@@ -642,99 +672,22 @@ Status PbgEngine::RestoreFromFile(const std::string& path) {
     return Status::Corruption("snapshot table shape mismatch");
   }
 
-  const std::string* ps = reader.Find(embedding::SectionTag::kPbgState);
-  if (ps == nullptr) {
-    return Status::Corruption("snapshot missing PBG state section");
-  }
-  ByteReader sr(*ps);
-  const uint64_t epochs_done = sr.U64();
-  const double cumulative = sr.F64();
-  PhaseSeconds phase;
-  phase.swap = sr.F64();
-  phase.compute = sr.F64();
-  phase.relation_sync = sr.F64();
-  Rng rng(0);
-  embedding::AdaGrad entity_opt(entity_opt_->num_rows(), entity_opt_->dim(),
-                                entity_opt_->learning_rate(),
-                                entity_opt_->epsilon());
-  embedding::AdaGrad relation_opt(relation_opt_->num_rows(),
-                                  relation_opt_->dim(),
-                                  relation_opt_->learning_rate(),
-                                  relation_opt_->epsilon());
-  if (!sr.ok() || !rng.LoadState(&sr) || !entity_opt.LoadState(&sr) ||
-      !relation_opt.LoadState(&sr)) {
-    return Status::Corruption("bad PBG state section");
-  }
-  const uint64_t held_count = sr.U64();
-  if (!sr.ok() || held_count != machine_held_.size()) {
-    return Status::Corruption("bad PBG state section");
-  }
-  std::vector<std::vector<uint32_t>> held(machine_held_.size());
-  for (std::vector<uint32_t>& partitions_held : held) {
-    const uint64_t n = sr.U64();
-    if (!sr.ok() || n > plan_.num_partitions) {
-      return Status::Corruption("bad PBG state section");
-    }
-    partitions_held.resize(n);
-    for (uint32_t& p : partitions_held) {
-      p = sr.U32();
-      if (!sr.ok() || p >= plan_.num_partitions) {
-        return Status::Corruption("bad PBG state section");
-      }
-    }
-  }
-  MetricRegistry metrics;
-  if (!metrics.LoadState(&sr) || sr.remaining() != 0) {
-    return Status::Corruption("bad PBG state section");
-  }
-
-  const std::string* cs =
-      reader.Find(embedding::SectionTag::kClusterState);
-  if (cs == nullptr) {
-    return Status::Corruption("snapshot missing cluster section");
-  }
-  ByteReader cr(*cs);
-  if (!cluster_.LoadState(&cr) || !transport_.LoadState(&cr) ||
-      cr.remaining() != 0) {
-    return Status::Corruption("bad cluster section");
-  }
-
+  for (const Commit& commit : staged) commit();
   entities_ = std::move(entities);
   relations_ = std::move(relations);
   lookup_ = TableLookup(&entities_, &relations_);
-  *entity_opt_ = std::move(entity_opt);
-  *relation_opt_ = std::move(relation_opt);
-  rng_ = rng;
-  machine_held_ = std::move(held);
-  metrics_ = std::move(metrics);
-  epochs_done_ = static_cast<size_t>(epochs_done);
-  cumulative_seconds_ = cumulative;
-  phase_ = phase;
   resume_pending_ = true;
   return Status::OK();
 }
 
 Status PbgEngine::RestoreTrainState(const std::string& path_or_dir) {
-  HETKG_ASSIGN_OR_RETURN(
-      const std::vector<std::string> candidates,
-      CheckpointManager::ResumeCandidates(path_or_dir));
-  Status last = Status::NotFound("no resume candidates");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const Status status = RestoreFromFile(candidates[i]);
-    if (status.ok()) {
-      recovery_metrics_.Increment(metric::kCheckpointRestores);
-      obs::Tracer::Instant("ckpt.restore", "ckpt", "epoch",
-                           static_cast<double>(epochs_done_));
-      return status;
-    }
-    HETKG_LOG(Warning) << "snapshot " << candidates[i]
-                       << " rejected: " << status.ToString();
-    if (i + 1 < candidates.size()) {
-      recovery_metrics_.Increment(metric::kCheckpointFallbacks);
-    }
-    last = status;
-  }
-  return last;
+  HETKG_RETURN_IF_ERROR(CheckpointManager::TryCandidates(
+      path_or_dir, &recovery_metrics_,
+      [this](const std::string& path) { return RestoreFromFile(path); }));
+  recovery_metrics_.Increment(metric::kCheckpointRestores);
+  obs::Tracer::Instant("ckpt.restore", "ckpt", "epoch",
+                       static_cast<double>(epochs_done_));
+  return Status::OK();
 }
 
 }  // namespace hetkg::core

@@ -8,6 +8,7 @@
 #include "common/thread_pool.h"
 #include "core/checkpoint_manager.h"
 #include "core/parallel_batch.h"
+#include "core/snapshot_codec.h"
 #include "core/trainer.h"
 #include "embedding/adagrad.h"
 #include "embedding/embedding_table.h"
@@ -77,6 +78,8 @@ class PbgEngine : public TrainingEngine {
   /// here, not iterations.
   Status SaveTrainState(const std::string& path) const override;
   Status RestoreTrainState(const std::string& path_or_dir) override;
+  Result<Commit> StageSnapshotSection(embedding::SectionTag tag,
+                                      std::string_view payload) override;
   const MetricRegistry& RecoveryMetrics() const override {
     return recovery_metrics_;
   }
@@ -101,10 +104,15 @@ class PbgEngine : public TrainingEngine {
 
   // -- Crash recovery internals (DESIGN.md §9) --------------------------
 
+  /// The kTrainerMeta a snapshot of this engine carries.
+  TrainerMeta SnapshotMeta() const;
+
   /// Appends meta + tables + kPbgState + kClusterState sections.
   void BuildSnapshot(embedding::CheckpointWriter* writer) const;
 
-  /// Full-state restore from one snapshot file.
+  Result<Commit> StagePbgState(std::string_view payload);
+
+  /// Full-state restore from one snapshot file, all or nothing.
   Status RestoreFromFile(const std::string& path);
 
   /// Consumes due process-level fault events at a bucket boundary. A

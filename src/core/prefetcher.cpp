@@ -81,21 +81,22 @@ void Prefetcher::SaveState(ByteWriter* w) const {
   w->Raw(order_.data(), order_.size() * sizeof(uint32_t));
 }
 
-bool Prefetcher::LoadState(ByteReader* r) {
+Commit Prefetcher::StageState(ByteReader* r) {
   Rng rng = rng_;
-  if (!rng.LoadState(r)) return false;
+  if (!rng.LoadState(r)) return {};
   const uint64_t cursor = r->U64();
   const uint64_t size = r->U64();
-  if (!r->ok() || size != order_.size() || cursor > size) return false;
+  if (!r->ok() || size != order_.size() || cursor > size) return {};
   std::vector<uint32_t> order(size);
-  if (!r->ReadRaw(order.data(), size * sizeof(uint32_t))) return false;
+  if (!r->ReadRaw(order.data(), size * sizeof(uint32_t))) return {};
   for (uint32_t idx : order) {
-    if (idx >= local_triples_->size()) return false;
+    if (idx >= local_triples_->size()) return {};
   }
-  rng_ = rng;
-  cursor_ = cursor;
-  order_ = std::move(order);
-  return true;
+  return [this, rng, cursor, order = std::move(order)]() mutable {
+    rng_ = rng;
+    cursor_ = cursor;
+    order_ = std::move(order);
+  };
 }
 
 uint64_t CountBatchAccesses(const MiniBatch& batch, FrequencyMap* freq) {

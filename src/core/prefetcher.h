@@ -64,7 +64,7 @@ class Prefetcher {
   /// the saved one would have. The local triple list itself is rebuilt
   /// by the engine's deterministic setup and is validated by size here.
   void SaveState(ByteWriter* w) const;
-  bool LoadState(ByteReader* r);
+  Commit StageState(ByteReader* r);
 
  private:
   /// Deals the next batch of positives, reshuffling at epoch wrap.

@@ -223,19 +223,8 @@ Status PsTrainingEngine::Setup(const std::vector<Triple>& train) {
   q_pull_compute_ = std::make_unique<BoundedQueue<StepTask*>>(depth);
   q_compute_push_ = std::make_unique<BoundedQueue<StepTask*>>(depth);
 
-  // Checkpoint directory: create, and sweep temp files orphaned by a
-  // crashed writer (they are never referenced by the manifest).
-  if (!config_.checkpoint_dir.empty()) {
-    ckpt_manager_ = std::make_unique<CheckpointManager>(
-        config_.checkpoint_dir, config_.keep_checkpoints,
-        config_.checkpoint_fsync);
-    HETKG_ASSIGN_OR_RETURN(const size_t orphan_temps,
-                           ckpt_manager_->Prepare());
-    if (orphan_temps > 0) {
-      recovery_metrics_.Increment(metric::kCheckpointOrphanTemps,
-                                  orphan_temps);
-    }
-  }
+  HETKG_ASSIGN_OR_RETURN(
+      ckpt_manager_, CheckpointManager::ForConfig(config_, &recovery_metrics_));
   return Status::OK();
 }
 
@@ -1285,26 +1274,17 @@ Result<TrainReport> PsTrainingEngine::TrainInner(size_t num_epochs) {
 // ---------------------------------------------------------------------------
 // Crash recovery (DESIGN.md §9).
 
+TrainerMeta PsTrainingEngine::SnapshotMeta() const {
+  return {std::string(name()), config_.num_machines, config_.dim,
+          server_->config().relation_dim, config_.batch_size,
+          iterations_per_epoch_, config_.seed};
+}
+
 void PsTrainingEngine::BuildSnapshotSections(
     embedding::CheckpointWriter* writer) const {
-  ByteWriter meta;
-  meta.Str(name());
-  meta.U64(config_.num_machines);
-  meta.U64(config_.dim);
-  meta.U64(server_->config().relation_dim);
-  meta.U64(config_.batch_size);
-  meta.U64(iterations_per_epoch_);
-  meta.U64(config_.seed);
-  writer->AddSection(embedding::SectionTag::kTrainerMeta, std::move(meta));
-
+  SnapshotMeta().Encode(writer);
   server_->SaveState(writer);
-
-  ByteWriter cluster_state;
-  cluster_.SaveState(&cluster_state);
-  transport_.SaveState(&cluster_state);
-  writer->AddSection(embedding::SectionTag::kClusterState,
-                     std::move(cluster_state));
-
+  EncodeClusterSection(cluster_, transport_, writer);
   for (const Worker& w : workers_) {
     ByteWriter worker_state;
     SaveWorkerState(w, &worker_state);
@@ -1330,6 +1310,42 @@ void PsTrainingEngine::AppendEngineCountersSection(
   engine_metrics_.SaveState(&ec);
   obs_metrics_.SaveState(&ec);
   writer->AddSection(embedding::SectionTag::kEngineCounters, std::move(ec));
+}
+
+Result<Commit> PsTrainingEngine::StageEngineCounters(std::string_view payload,
+                                                     uint64_t* iteration) {
+  ByteReader r(payload);
+  const uint64_t giter = r.U64();
+  const uint64_t hits = r.U64();
+  const uint64_t misses = r.U64();
+  const double cumulative = r.F64();
+  const double epoch_loss = r.F64();
+  const uint64_t epoch_pairs = r.U64();
+  PhaseSeconds phase;
+  phase.prefetch = r.F64();
+  phase.rebuild = r.F64();
+  phase.pull = r.F64();
+  phase.compute = r.F64();
+  phase.push = r.F64();
+  MetricRegistry engine_metrics;
+  MetricRegistry obs_metrics;
+  if (!r.ok() || !engine_metrics.LoadState(&r) ||
+      !obs_metrics.LoadState(&r) || r.remaining() != 0) {
+    return Status::Corruption("bad engine section");
+  }
+  if (iteration != nullptr) *iteration = giter;
+  return Commit([=, this, engine_metrics = std::move(engine_metrics),
+                 obs_metrics = std::move(obs_metrics)]() mutable {
+    global_iteration_ = static_cast<size_t>(giter);
+    total_hits_ = hits;
+    total_misses_ = misses;
+    cumulative_seconds_ = cumulative;
+    epoch_loss_sum_ = epoch_loss;
+    epoch_pair_count_ = epoch_pairs;
+    phase_ = phase;
+    engine_metrics_ = std::move(engine_metrics);
+    obs_metrics_ = std::move(obs_metrics);
+  });
 }
 
 void PsTrainingEngine::SaveWorkerState(const Worker& w,
@@ -1387,12 +1403,13 @@ void PsTrainingEngine::SaveWorkerState(const Worker& w,
   }
 }
 
-bool PsTrainingEngine::LoadWorkerState(Worker* w, ByteReader* r) {
+Commit PsTrainingEngine::StageWorkerState(Worker* w, ByteReader* r) {
   const uint64_t hits = r->U64();
   const uint64_t misses = r->U64();
-  if (!r->ok()) return false;
-  if (!w->sampler->LoadState(r)) return false;
-  if (!w->prefetcher->LoadState(r)) return false;
+  if (!r->ok()) return {};
+  Commit sampler = w->sampler->StageState(r);
+  Commit prefetcher = sampler ? w->prefetcher->StageState(r) : Commit();
+  if (!prefetcher) return {};
 
   auto valid_triple = [this](const Triple& t) {
     return t.head < graph_.num_entities() && t.tail < graph_.num_entities() &&
@@ -1400,7 +1417,7 @@ bool PsTrainingEngine::LoadWorkerState(Worker* w, ByteReader* r) {
   };
 
   const uint64_t refresh_count = r->U64();
-  if (!r->ok() || refresh_count > r->remaining() / 16) return false;
+  if (!r->ok() || refresh_count > r->remaining() / 16) return {};
   std::unordered_map<EmbKey, size_t> last_refresh;
   last_refresh.reserve(refresh_count * 2);
   for (uint64_t i = 0; i < refresh_count; ++i) {
@@ -1408,12 +1425,12 @@ bool PsTrainingEngine::LoadWorkerState(Worker* w, ByteReader* r) {
     const uint64_t iter = r->U64();
     if (!r->ok() ||
         !last_refresh.emplace(key, static_cast<size_t>(iter)).second) {
-      return false;
+      return {};
     }
   }
 
   const uint64_t grad_count = r->U64();
-  if (!r->ok() || grad_count > r->remaining() / 12) return false;
+  if (!r->ok() || grad_count > r->remaining() / 12) return {};
   std::unordered_map<EmbKey, std::vector<float>> pending_grads;
   pending_grads.reserve(grad_count * 2);
   for (uint64_t i = 0; i < grad_count; ++i) {
@@ -1421,26 +1438,26 @@ bool PsTrainingEngine::LoadWorkerState(Worker* w, ByteReader* r) {
     std::vector<float> grad = r->FloatVec();
     if (!r->ok() || grad.size() != server_->RowDim(key) ||
         !pending_grads.emplace(key, std::move(grad)).second) {
-      return false;
+      return {};
     }
   }
 
   const uint64_t queue_len = r->U64();
-  if (!r->ok() || queue_len > r->remaining()) return false;
+  if (!r->ok() || queue_len > r->remaining()) return {};
   std::deque<MiniBatch> batch_queue;
   for (uint64_t b = 0; b < queue_len; ++b) {
     MiniBatch batch;
     const uint64_t num_pos = r->U64();
-    if (!r->ok() || num_pos > r->remaining() / 12) return false;
+    if (!r->ok() || num_pos > r->remaining() / 12) return {};
     batch.positives.resize(num_pos);
     for (Triple& t : batch.positives) {
       t.head = r->U32();
       t.relation = r->U32();
       t.tail = r->U32();
-      if (!r->ok() || !valid_triple(t)) return false;
+      if (!r->ok() || !valid_triple(t)) return {};
     }
     const uint64_t num_neg = r->U64();
-    if (!r->ok() || num_neg > r->remaining() / 17) return false;
+    if (!r->ok() || num_neg > r->remaining() / 17) return {};
     batch.negatives.resize(num_neg);
     for (embedding::NegativeSample& n : batch.negatives) {
       n.positive_index = r->U32();
@@ -1450,7 +1467,7 @@ bool PsTrainingEngine::LoadWorkerState(Worker* w, ByteReader* r) {
       const uint8_t corruption = r->U8();
       if (!r->ok() || corruption > 2 || !valid_triple(n.triple) ||
           n.positive_index >= batch.positives.size()) {
-        return false;
+        return {};
       }
       n.corruption = static_cast<embedding::Corruption>(corruption);
     }
@@ -1458,15 +1475,56 @@ bool PsTrainingEngine::LoadWorkerState(Worker* w, ByteReader* r) {
   }
 
   const uint8_t has_cache = r->U8();
-  if (!r->ok() || (has_cache != 0) != (w->cache != nullptr)) return false;
-  if (w->cache != nullptr && !w->cache->LoadState(r)) return false;
+  if (!r->ok() || (has_cache != 0) != (w->cache != nullptr)) return {};
+  Commit cache =
+      w->cache != nullptr ? w->cache->StageState(r) : Commit([] {});
+  if (!cache || r->remaining() != 0) return {};
 
-  w->hits = hits;
-  w->misses = misses;
-  w->last_refresh = std::move(last_refresh);
-  w->pending_grads = std::move(pending_grads);
-  w->batch_queue = std::move(batch_queue);
-  return true;
+  return [w, hits, misses, sampler = std::move(sampler),
+          prefetcher = std::move(prefetcher), cache = std::move(cache),
+          last_refresh = std::move(last_refresh),
+          pending_grads = std::move(pending_grads),
+          batch_queue = std::move(batch_queue)]() mutable {
+    sampler();
+    prefetcher();
+    cache();
+    w->hits = hits;
+    w->misses = misses;
+    w->last_refresh = std::move(last_refresh);
+    w->pending_grads = std::move(pending_grads);
+    w->batch_queue = std::move(batch_queue);
+  };
+}
+
+Result<Commit> PsTrainingEngine::StageSnapshotSection(
+    embedding::SectionTag tag, std::string_view payload) {
+  switch (tag) {
+    case embedding::SectionTag::kTrainerMeta: {
+      HETKG_ASSIGN_OR_RETURN(const TrainerMeta meta,
+                             TrainerMeta::Decode(payload));
+      HETKG_RETURN_IF_ERROR(SnapshotMeta().Match(meta));
+      return Commit([] {});
+    }
+    case embedding::SectionTag::kClusterState:
+      return StageClusterSection(payload, &cluster_, &transport_);
+    case embedding::SectionTag::kEngineCounters:
+      return StageEngineCounters(payload, nullptr);
+    case embedding::SectionTag::kWorker: {
+      ByteReader r(payload);
+      const uint32_t machine = r.U32();
+      if (!r.ok() || machine >= workers_.size()) {
+        return Status::Corruption("bad worker section id");
+      }
+      Commit commit = StageWorkerState(&workers_[machine], &r);
+      if (!commit) return Status::Corruption("bad worker section");
+      return commit;
+    }
+    case embedding::SectionTag::kPsRuntime:  // The server commits it.
+      HETKG_RETURN_IF_ERROR(server_->DecodeRuntime(payload).status());
+      return Commit([] {});
+    default:
+      return Status::InvalidArgument("not a PS engine section");
+  }
 }
 
 Status PsTrainingEngine::SaveTrainState(const std::string& path) const {
@@ -1493,152 +1551,69 @@ Status PsTrainingEngine::WritePeriodicCheckpoint() {
   engine_metrics_.Increment(metric::kCheckpointBytes,
                             writer.payload_bytes());
   AppendEngineCountersSection(&writer);
-  HETKG_RETURN_IF_ERROR(
-      writer.WriteAtomic(ckpt_manager_->SnapshotPath(global_iteration_),
-                         config_.checkpoint_fsync));
-  return ckpt_manager_->Commit(global_iteration_);
+  return ckpt_manager_->Save(global_iteration_, writer);
 }
 
 Status PsTrainingEngine::RestoreFromFile(const std::string& path) {
+  using embedding::SectionTag;
   HETKG_ASSIGN_OR_RETURN(const embedding::CheckpointReader reader,
                          embedding::CheckpointReader::Open(path));
-  const std::string* meta =
-      reader.Find(embedding::SectionTag::kTrainerMeta);
-  if (meta == nullptr) {
-    return Status::Corruption("snapshot missing trainer meta section");
+  // Decode every engine-owned section before the first commit, so a
+  // rejected snapshot leaves the engine untouched. The PS loads last:
+  // it validates its own sections before it commits, and staging its
+  // tables here would hold a second copy of them.
+  std::vector<Commit> staged;
+  for (const SectionTag tag : {SectionTag::kTrainerMeta,
+                               SectionTag::kClusterState,
+                               SectionTag::kEngineCounters}) {
+    HETKG_ASSIGN_OR_RETURN(const std::string_view payload,
+                           RequireSection(reader, tag));
+    HETKG_ASSIGN_OR_RETURN(staged.emplace_back(),
+                           StageSnapshotSection(tag, payload));
   }
-  ByteReader mr(*meta);
-  const std::string snap_name = mr.Str();
-  const uint64_t machines = mr.U64();
-  const uint64_t dim = mr.U64();
-  const uint64_t relation_dim = mr.U64();
-  const uint64_t batch_size = mr.U64();
-  const uint64_t ipe = mr.U64();
-  const uint64_t seed = mr.U64();
-  if (!mr.ok() || mr.remaining() != 0) {
-    return Status::Corruption("bad trainer meta section");
-  }
-  if (snap_name != name() || machines != config_.num_machines ||
-      dim != config_.dim ||
-      relation_dim != server_->config().relation_dim ||
-      batch_size != config_.batch_size || ipe != iterations_per_epoch_ ||
-      seed != config_.seed) {
-    return Status::FailedPrecondition(
-        "snapshot was written by a different training configuration");
-  }
-
-  HETKG_RETURN_IF_ERROR(server_->LoadState(reader));
-
-  const std::string* cs =
-      reader.Find(embedding::SectionTag::kClusterState);
-  if (cs == nullptr) {
-    return Status::Corruption("snapshot missing cluster section");
-  }
-  ByteReader cr(*cs);
-  if (!cluster_.LoadState(&cr) || !transport_.LoadState(&cr) ||
-      cr.remaining() != 0) {
-    return Status::Corruption("bad cluster section");
-  }
-
-  const std::string* ec =
-      reader.Find(embedding::SectionTag::kEngineCounters);
-  if (ec == nullptr) {
-    return Status::Corruption("snapshot missing engine section");
-  }
-  ByteReader er(*ec);
-  const uint64_t giter = er.U64();
-  const uint64_t hits = er.U64();
-  const uint64_t misses = er.U64();
-  const double cumulative = er.F64();
-  const double epoch_loss = er.F64();
-  const uint64_t epoch_pairs = er.U64();
-  PhaseSeconds phase;
-  phase.prefetch = er.F64();
-  phase.rebuild = er.F64();
-  phase.pull = er.F64();
-  phase.compute = er.F64();
-  phase.push = er.F64();
-  MetricRegistry engine_metrics;
-  MetricRegistry obs_metrics;
-  if (!er.ok() || !engine_metrics.LoadState(&er) ||
-      !obs_metrics.LoadState(&er) || er.remaining() != 0) {
-    return Status::Corruption("bad engine section");
-  }
-
+  // Worker sections are written in machine order.
   const std::vector<const std::string*> sections =
-      reader.FindAll(embedding::SectionTag::kWorker);
+      reader.FindAll(SectionTag::kWorker);
   if (sections.size() != workers_.size()) {
     return Status::Corruption("worker section count mismatch");
   }
-  std::vector<char> seen(workers_.size(), 0);
-  for (const std::string* payload : sections) {
-    ByteReader wr(*payload);
-    const uint32_t m = wr.U32();
-    if (!wr.ok() || m >= workers_.size() || seen[m]) {
+  for (uint32_t m = 0; m < sections.size(); ++m) {
+    if (ByteReader(*sections[m]).U32() != m) {
       return Status::Corruption("bad worker section id");
     }
-    seen[m] = 1;
-    if (!LoadWorkerState(&workers_[m], &wr) || wr.remaining() != 0) {
-      return Status::Corruption("bad worker section");
-    }
+    HETKG_ASSIGN_OR_RETURN(staged.emplace_back(),
+                           StageSnapshotSection(SectionTag::kWorker,
+                                                *sections[m]));
   }
-
-  global_iteration_ = static_cast<size_t>(giter);
-  total_hits_ = hits;
-  total_misses_ = misses;
-  cumulative_seconds_ = cumulative;
-  epoch_loss_sum_ = epoch_loss;
-  epoch_pair_count_ = epoch_pairs;
-  phase_ = phase;
-  engine_metrics_ = std::move(engine_metrics);
-  obs_metrics_ = std::move(obs_metrics);
+  HETKG_RETURN_IF_ERROR(server_->LoadState(reader));
+  for (const Commit& commit : staged) commit();
   resume_pending_ = true;
   return Status::OK();
 }
 
 Status PsTrainingEngine::RestoreTrainState(const std::string& path_or_dir) {
-  HETKG_ASSIGN_OR_RETURN(
-      const std::vector<std::string> candidates,
-      CheckpointManager::ResumeCandidates(path_or_dir));
-  Status last = Status::NotFound("no resume candidates");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const Status status = RestoreFromFile(candidates[i]);
-    if (status.ok()) {
-      recovery_metrics_.Increment(metric::kCheckpointRestores);
-      obs::Tracer::Instant("ckpt.restore", "ckpt", "iteration",
-                           static_cast<double>(global_iteration_));
-      return status;
-    }
-    HETKG_LOG(Warning) << "snapshot " << candidates[i]
-                       << " rejected: " << status.ToString();
-    if (i + 1 < candidates.size()) {
-      recovery_metrics_.Increment(metric::kCheckpointFallbacks);
-    }
-    last = status;
-  }
-  return last;
+  HETKG_RETURN_IF_ERROR(CheckpointManager::TryCandidates(
+      path_or_dir, &recovery_metrics_,
+      [this](const std::string& path) { return RestoreFromFile(path); }));
+  recovery_metrics_.Increment(metric::kCheckpointRestores);
+  obs::Tracer::Instant("ckpt.restore", "ckpt", "iteration",
+                       static_cast<double>(global_iteration_));
+  return Status::OK();
 }
 
 Result<embedding::CheckpointReader> PsTrainingEngine::OpenLatestSnapshot() {
   if (ckpt_manager_ == nullptr) {
     return Status::NotFound("checkpointing is not configured");
   }
-  HETKG_ASSIGN_OR_RETURN(
-      const std::vector<std::string> candidates,
-      CheckpointManager::ResumeCandidates(ckpt_manager_->dir()));
-  Status last = Status::NotFound("no snapshots available");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    Result<embedding::CheckpointReader> reader =
-        embedding::CheckpointReader::Open(candidates[i]);
-    if (reader.ok()) return reader;
-    HETKG_LOG(Warning) << "snapshot " << candidates[i]
-                       << " rejected: " << reader.status().ToString();
-    if (i + 1 < candidates.size()) {
-      recovery_metrics_.Increment(metric::kCheckpointFallbacks);
-    }
-    last = reader.status();
-  }
-  return last;
+  embedding::CheckpointReader latest;
+  HETKG_RETURN_IF_ERROR(CheckpointManager::TryCandidates(
+      ckpt_manager_->dir(), &recovery_metrics_,
+      [&latest](const std::string& path) -> Status {
+        HETKG_ASSIGN_OR_RETURN(latest,
+                               embedding::CheckpointReader::Open(path));
+        return Status::OK();
+      }));
+  return latest;
 }
 
 Status PsTrainingEngine::MaybeInjectProcessFaults() {
@@ -1680,44 +1655,35 @@ Status PsTrainingEngine::RecoverWorker(uint32_t machine) {
   Result<embedding::CheckpointReader> snapshot = OpenLatestSnapshot();
   if (snapshot.ok()) {
     const embedding::CheckpointReader& reader = snapshot.value();
-    const std::string* ec =
-        reader.Find(embedding::SectionTag::kEngineCounters);
-    if (ec == nullptr) {
-      return Status::Corruption("snapshot missing engine section");
-    }
-    ByteReader er(*ec);
-    const uint64_t snap_iter = er.U64();
-    if (!er.ok() || snap_iter > global_iteration_) {
+    HETKG_ASSIGN_OR_RETURN(
+        const std::string_view counters,
+        RequireSection(reader, embedding::SectionTag::kEngineCounters));
+    uint64_t snap_iter = 0;
+    HETKG_RETURN_IF_ERROR(StageEngineCounters(counters, &snap_iter).status());
+    if (snap_iter > global_iteration_) {
       return Status::Corruption("snapshot is ahead of the running trainer");
     }
-    bool found = false;
-    for (const std::string* payload :
-         reader.FindAll(embedding::SectionTag::kWorker)) {
-      ByteReader wr(*payload);
-      if (wr.U32() != machine) continue;
-      if (!LoadWorkerState(&w, &wr) || wr.remaining() != 0) {
-        return Status::Corruption("bad worker section");
-      }
-      found = true;
-      break;
-    }
-    if (!found) {
+    const std::vector<const std::string*> sections =
+        reader.FindAll(embedding::SectionTag::kWorker);
+    if (sections.size() != workers_.size() ||
+        ByteReader(*sections[machine]).U32() != machine) {
       return Status::Corruption("snapshot missing crashed worker section");
     }
-    const std::string* rt = reader.Find(embedding::SectionTag::kPsRuntime);
-    if (rt == nullptr) {
-      return Status::Corruption("snapshot missing PS runtime section");
-    }
-    ByteReader rr(*rt);
-    const std::vector<uint64_t> snap_push_seq = rr.U64Vec();
-    if (!rr.ok() || machine >= snap_push_seq.size()) {
-      return Status::Corruption("bad PS runtime section");
-    }
+    HETKG_ASSIGN_OR_RETURN(
+        const Commit worker,
+        StageSnapshotSection(embedding::SectionTag::kWorker,
+                             *sections[machine]));
+    HETKG_ASSIGN_OR_RETURN(
+        const std::string_view runtime_payload,
+        RequireSection(reader, embedding::SectionTag::kPsRuntime));
+    HETKG_ASSIGN_OR_RETURN(const ps::ParameterServer::RuntimeState runtime,
+                           server_->DecodeRuntime(runtime_payload));
+    worker();
     // Replay the iterations since the snapshot. The rewound sequence
     // numbers plus the server's replay mode make every replayed push a
     // no-op on the global tables; losses were already accumulated by
     // the pre-crash execution, so they are discarded here.
-    server_->BeginWorkerReplay(machine, snap_push_seq[machine]);
+    server_->BeginWorkerReplay(machine, runtime.push_seq[machine]);
     for (uint64_t iter = snap_iter; iter < global_iteration_; ++iter) {
       Step(&w, static_cast<size_t>(iter));
       if ((iter + 1) % iterations_per_epoch_ == 0) {

@@ -16,6 +16,7 @@
 #include "core/pipeline.h"
 #include "core/prefetcher.h"
 #include "core/ps_backend.h"
+#include "core/snapshot_codec.h"
 #include "core/sync_controller.h"
 #include "core/trainer.h"
 #include "embedding/loss.h"
@@ -108,6 +109,8 @@ class PsTrainingEngine : public TrainingEngine {
   /// Crash recovery (DESIGN.md §9): full-training-state snapshots.
   Status SaveTrainState(const std::string& path) const override;
   Status RestoreTrainState(const std::string& path_or_dir) override;
+  Result<Commit> StageSnapshotSection(embedding::SectionTag tag,
+                                      std::string_view payload) override;
   const MetricRegistry& RecoveryMetrics() const override {
     return recovery_metrics_;
   }
@@ -367,6 +370,9 @@ class PsTrainingEngine : public TrainingEngine {
   /// and the no-snapshot worker recovery path).
   embedding::NegativeSamplerSpec SamplerSpecFor(uint64_t seed) const;
 
+  /// The kTrainerMeta a snapshot of this engine carries.
+  TrainerMeta SnapshotMeta() const;
+
   /// Appends meta + PS + cluster/transport + per-worker sections.
   void BuildSnapshotSections(embedding::CheckpointWriter* writer) const;
 
@@ -375,11 +381,17 @@ class PsTrainingEngine : public TrainingEngine {
   /// self-reference of a counter stored inside the file it measures).
   void AppendEngineCountersSection(embedding::CheckpointWriter* writer) const;
 
-  void SaveWorkerState(const Worker& w, ByteWriter* out) const;
-  /// `r` is positioned after the leading worker id.
-  bool LoadWorkerState(Worker* w, ByteReader* r);
+  /// `iteration` (when set) receives the payload's global iteration.
+  Result<Commit> StageEngineCounters(std::string_view payload,
+                                     uint64_t* iteration);
 
-  /// Full-state restore from one snapshot file.
+  /// One worker's state: a kWorker payload after its machine id, and
+  /// the proc runtime's kLoadState/kWorkerState blob. Staging requires
+  /// the rest of `r` to be exactly one such payload.
+  void SaveWorkerState(const Worker& w, ByteWriter* out) const;
+  Commit StageWorkerState(Worker* w, ByteReader* r);
+
+  /// Full-state restore from one snapshot file, all or nothing.
   Status RestoreFromFile(const std::string& path);
 
   /// Periodic save: counters, snapshot write, manifest commit.

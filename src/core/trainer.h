@@ -181,8 +181,22 @@ class TrainingEngine {
   /// snapshot file or a checkpoint directory (newest valid manifest
   /// entry wins; corrupt entries fall back to older ones). Must be
   /// called before Train(); the next Train() continues mid-run.
+  /// All or nothing: a snapshot is fully decoded and validated before
+  /// any state changes, so when every candidate is rejected the engine
+  /// is exactly as it was.
   virtual Status RestoreTrainState(const std::string& path_or_dir) {
     (void)path_or_dir;
+    return Status::Unimplemented(std::string(name()) +
+                                 " does not support training snapshots");
+  }
+
+  /// Decodes one engine-owned snapshot section payload against this
+  /// engine without changing it: Corruption, FailedPrecondition, or
+  /// the commit that installs it (a no-op for sections only checked).
+  virtual Result<Commit> StageSnapshotSection(embedding::SectionTag tag,
+                                              std::string_view payload) {
+    (void)tag;
+    (void)payload;
     return Status::Unimplemented(std::string(name()) +
                                  " does not support training snapshots");
   }

@@ -112,11 +112,10 @@ class AdaGrad {
   void SaveState(ByteWriter* w) const {
     w->FloatVec(std::span<const float>(accum_data_, accum_size_));
   }
-  bool LoadState(ByteReader* r) {
+  Commit StageState(ByteReader* r) {
     std::vector<float> accum = r->FloatVec();
-    if (!r->ok() || accum.size() != accum_size_) return false;
-    std::copy(accum.begin(), accum.end(), accum_data_);
-    return true;
+    if (!r->ok() || accum.size() != accum_size_) return {};
+    return [this, accum = std::move(accum)] { SetAccumulatorData(accum); };
   }
 
  private:

@@ -28,6 +28,11 @@ constexpr uint64_t kMaxSectionBytes = kMaxElements * sizeof(float);
 // Sidecar streaming chunk (bounded memory for multi-GB slabs).
 constexpr size_t kColdChunkBytes = size_t{4} << 20;
 
+// Rejects empty or absurd shapes; divides so rows * dim cannot wrap.
+bool ImplausibleShape(uint64_t rows, uint64_t dim) {
+  return rows == 0 || dim == 0 || rows > kMaxElements / dim;
+}
+
 std::string ColdSuffix(uint32_t base_tag) {
   return ".cold" + std::to_string(base_tag);
 }
@@ -72,12 +77,8 @@ Result<Checkpoint> LoadCheckpointV1(std::ifstream& in,
       !ReadU64(in, &num_relations) || !ReadU64(in, &relation_dim)) {
     return Status::Corruption("truncated checkpoint header in " + path);
   }
-  if (num_entities == 0 || entity_dim == 0 || num_relations == 0 ||
-      relation_dim == 0) {
-    return Status::Corruption("zero-sized table in checkpoint header");
-  }
-  if (num_entities * entity_dim > kMaxElements ||
-      num_relations * relation_dim > kMaxElements) {
+  if (ImplausibleShape(num_entities, entity_dim) ||
+      ImplausibleShape(num_relations, relation_dim)) {
     return Status::Corruption("implausible checkpoint shape");
   }
 
@@ -100,23 +101,9 @@ Result<Checkpoint> LoadCheckpointV1(std::ifstream& in,
   return ck;
 }
 
-Result<EmbeddingTable> DecodeTableSection(const std::string& payload) {
-  ByteReader r(payload);
-  const uint64_t num_rows = r.U64();
-  const uint64_t dim = r.U64();
-  if (!r.ok() || num_rows == 0 || dim == 0 ||
-      num_rows * dim > kMaxElements) {
-    return Status::Corruption("implausible checkpoint table shape");
-  }
-  EmbeddingTable table(num_rows, dim);
-  std::vector<float> row(dim);
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    if (!r.ReadRaw(row.data(), dim * sizeof(float))) {
-      return Status::Corruption("truncated checkpoint table section");
-    }
-    table.SetRow(i, row);
-  }
-  return table;
+Status MissingTable(SectionTag tag) {
+  return Status::Corruption("checkpoint is missing table section " +
+                            std::to_string(static_cast<uint32_t>(tag)));
 }
 
 }  // namespace
@@ -346,8 +333,8 @@ Result<CheckpointReader> CheckpointReader::Open(const std::string& path) {
     meta.bytes = mr.U64();
     meta.crc = mr.U32();
     meta.suffix = mr.Str();
-    if (!mr.ok() || mr.remaining() != 0 || meta.rows == 0 || meta.dim == 0 ||
-        meta.rows * meta.dim > kMaxElements ||
+    if (!mr.ok() || mr.remaining() != 0 ||
+        ImplausibleShape(meta.rows, meta.dim) ||
         meta.bytes != meta.rows * ColdRowBytes(meta.dtype, meta.dim) ||
         meta.suffix.empty() || meta.suffix.find('/') != std::string::npos) {
       return Status::Corruption("malformed cold sidecar metadata in " + path);
@@ -484,34 +471,31 @@ Status ForEachColdRow(
       });
 }
 
-/// Materializes a cold sidecar as an in-RAM fp32 table.
-Result<EmbeddingTable> DecodeColdTable(const CheckpointReader& reader,
-                                       const ColdSidecar& meta) {
-  EmbeddingTable table(meta.rows, meta.dim);
-  std::vector<float> row(meta.dim);
-  HETKG_RETURN_IF_ERROR(ForEachColdRow(
-      reader, meta, [&](uint64_t i, const uint8_t* encoded) {
-        DecodeColdRow(meta.dtype, encoded, row);
-        table.SetRow(i, row);
-        return Status::OK();
-      }));
-  return table;
-}
-
 }  // namespace
 
 Result<EmbeddingTable> ReadTableSection(const CheckpointReader& reader,
                                         SectionTag tag) {
-  const std::string* payload = reader.Find(tag);
-  if (payload != nullptr) {
-    return DecodeTableSection(*payload);
+  // The shape comes from the sidecar metadata or the in-band header;
+  // LoadTableSectionInto then fills the rows.
+  uint64_t rows = 0;
+  uint64_t dim = 0;
+  if (const ColdSidecar* meta = reader.FindCold(tag); meta != nullptr) {
+    rows = meta->rows;
+    dim = meta->dim;
+  } else if (const std::string* payload = reader.Find(tag);
+             payload != nullptr) {
+    ByteReader r(*payload);
+    rows = r.U64();
+    dim = r.U64();
+  } else {
+    return MissingTable(tag);
   }
-  const ColdSidecar* meta = reader.FindCold(tag);
-  if (meta != nullptr) {
-    return DecodeColdTable(reader, *meta);
+  if (ImplausibleShape(rows, dim)) {
+    return Status::Corruption("implausible checkpoint table shape");
   }
-  return Status::Corruption("checkpoint is missing table section " +
-                            std::to_string(static_cast<uint32_t>(tag)));
+  EmbeddingTable table(rows, dim);
+  HETKG_RETURN_IF_ERROR(LoadTableSectionInto(reader, tag, &table));
+  return table;
 }
 
 Status LoadTableSectionInto(const CheckpointReader& reader, SectionTag tag,
@@ -534,10 +518,7 @@ Status LoadTableSectionInto(const CheckpointReader& reader, SectionTag tag,
                           });
   }
   const std::string* payload = reader.Find(tag);
-  if (payload == nullptr) {
-    return Status::Corruption("checkpoint is missing table section " +
-                              std::to_string(static_cast<uint32_t>(tag)));
-  }
+  if (payload == nullptr) return MissingTable(tag);
   ByteReader r(*payload);
   const uint64_t num_rows = r.U64();
   const uint64_t dim = r.U64();

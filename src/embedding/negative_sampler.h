@@ -53,7 +53,7 @@ class NegativeSampler {
   /// sequence. Save/load are symmetric because sampler structure (kind,
   /// degree weighting, ...) is rebuilt from config before restoring.
   virtual void SaveState(ByteWriter* w) const { rng_.SaveState(w); }
-  virtual bool LoadState(ByteReader* r) { return rng_.LoadState(r); }
+  virtual Commit StageState(ByteReader* r) { return rng_.StageState(r); }
 
  protected:
   NegativeSampler(size_t num_entities, size_t negatives_per_positive,
@@ -94,9 +94,15 @@ class UniformNegativeSampler : public NegativeSampler {
     NegativeSampler::SaveState(w);
     if (degree_sampler_ != nullptr) degree_sampler_->SaveState(w);
   }
-  bool LoadState(ByteReader* r) override {
-    if (!NegativeSampler::LoadState(r)) return false;
-    return degree_sampler_ == nullptr || degree_sampler_->LoadState(r);
+  Commit StageState(ByteReader* r) override {
+    Commit base = NegativeSampler::StageState(r);
+    if (!base || degree_sampler_ == nullptr) return base;
+    Commit degree = degree_sampler_->StageState(r);
+    if (!degree) return {};
+    return [base = std::move(base), degree = std::move(degree)] {
+      base();
+      degree();
+    };
   }
 
  private:

@@ -326,7 +326,7 @@ int ProcWorker::Run() {
     } else if (type == MsgType::kLoadState) {
       const uint32_t m = r.U32();
       if (!r.ok() || m != machine_ ||
-          !engine_->LoadWorkerState(w, &r) || r.remaining() != 0) {
+          !Apply(engine_->StageWorkerState(w, &r))) {
         break;
       }
     } else if (type == MsgType::kStartObs) {
@@ -941,8 +941,7 @@ Status ProcCoordinator::SyncWorkerState(uint32_t machine) {
   link.messenger->ObserveRpcLatency(sw.ElapsedSeconds() * 1e6);
   const uint32_t m = r.U32();
   if (!r.ok() || m != machine ||
-      !engine_->LoadWorkerState(&engine_->workers_[machine], &r) ||
-      r.remaining() != 0) {
+      !Apply(engine_->StageWorkerState(&engine_->workers_[machine], &r))) {
     MarkWorkerFailed(machine, at_iter);
     return Status::Corruption("bad worker state blob");
   }

@@ -396,60 +396,21 @@ Status ParameterServer::LoadState(const embedding::CheckpointReader& reader) {
       reader.Find(embedding::SectionTag::kEntityTable) != nullptr;
   std::vector<float> entity_accum;
   std::vector<float> relation_accum;
-  if (const std::string* opt =
-          reader.Find(embedding::SectionTag::kPsOptimizer);
-      opt != nullptr) {
-    ByteReader opt_reader(*opt);
-    entity_accum = opt_reader.FloatVec();
-    relation_accum = opt_reader.FloatVec();
-    if (!opt_reader.ok() || opt_reader.remaining() != 0) {
-      return Status::Corruption("bad PS optimizer section");
-    }
-  } else {
-    // Quantized snapshot: the accumulators live in fp32 sidecars.
-    HETKG_ASSIGN_OR_RETURN(
-        entity_accum,
-        ReadColdFloats(reader, embedding::SectionTag::kEntityOptState));
-    HETKG_ASSIGN_OR_RETURN(
-        relation_accum,
-        ReadColdFloats(reader, embedding::SectionTag::kRelationOptState));
-  }
-  if (entity_accum.size() != config_.num_entities * config_.entity_dim ||
-      relation_accum.size() !=
-          config_.num_relations * config_.relation_dim) {
-    return Status::Corruption("bad PS optimizer section");
-  }
-  const std::string* runtime =
+  HETKG_RETURN_IF_ERROR(
+      ReadAccumulators(reader, &entity_accum, &relation_accum));
+  const std::string* runtime_payload =
       reader.Find(embedding::SectionTag::kPsRuntime);
-  if (runtime == nullptr) {
+  if (runtime_payload == nullptr) {
     return Status::Corruption("snapshot missing PS runtime section");
   }
-  ByteReader rt_reader(*runtime);
-  std::vector<uint64_t> push_seq = rt_reader.U64Vec();
-  std::vector<uint64_t> applied = rt_reader.U64Vec();
-  MetricRegistry metrics;
-  if (!rt_reader.ok() || push_seq.size() != push_seq_.size() ||
-      applied.size() != applied_push_seq_.size() ||
-      !metrics.LoadState(&rt_reader) || rt_reader.remaining() != 0) {
-    return Status::Corruption("bad PS runtime section");
-  }
+  HETKG_ASSIGN_OR_RETURN(RuntimeState runtime,
+                         DecodeRuntime(*runtime_payload));
   if (!tiered() && in_band_tables) {
     // In-RAM path: materialize and swap (identical to historical
     // behavior, including on validation failure).
-    HETKG_ASSIGN_OR_RETURN(
-        embedding::EmbeddingTable entities,
-        ReadTableSection(reader, embedding::SectionTag::kEntityTable));
-    HETKG_ASSIGN_OR_RETURN(
-        embedding::EmbeddingTable relations,
-        ReadTableSection(reader, embedding::SectionTag::kRelationTable));
-    if (entities.num_rows() != config_.num_entities ||
-        entities.dim() != config_.entity_dim ||
-        relations.num_rows() != config_.num_relations ||
-        relations.dim() != config_.relation_dim) {
-      return Status::Corruption("snapshot table shape mismatch");
-    }
-    entity_table_ = std::move(entities);
-    relation_table_ = std::move(relations);
+    HETKG_ASSIGN_OR_RETURN(Tables tables, ReadTables(reader));
+    entity_table_ = std::move(tables.first);
+    relation_table_ = std::move(tables.second);
   } else {
     // Tiered path (or cross-format restore): stream into the existing
     // slabs without materializing a second full copy. A matching-dtype
@@ -462,11 +423,70 @@ Status ParameterServer::LoadState(const embedding::CheckpointReader& reader) {
   }
   entity_opt_.SetAccumulatorData(entity_accum);
   relation_opt_.SetAccumulatorData(relation_accum);
-  push_seq_ = std::move(push_seq);
-  applied_push_seq_ = std::move(applied);
-  metrics_ = std::move(metrics);
+  push_seq_ = std::move(runtime.push_seq);
+  applied_push_seq_ = std::move(runtime.applied_push_seq);
+  metrics_ = std::move(runtime.metrics);
   std::fill(replaying_.begin(), replaying_.end(), 0);
   return Status::OK();
+}
+
+Result<ParameterServer::Tables> ParameterServer::ReadTables(
+    const embedding::CheckpointReader& reader) const {
+  HETKG_ASSIGN_OR_RETURN(
+      embedding::EmbeddingTable entities,
+      ReadTableSection(reader, embedding::SectionTag::kEntityTable));
+  HETKG_ASSIGN_OR_RETURN(
+      embedding::EmbeddingTable relations,
+      ReadTableSection(reader, embedding::SectionTag::kRelationTable));
+  if (entities.num_rows() != config_.num_entities ||
+      entities.dim() != config_.entity_dim ||
+      relations.num_rows() != config_.num_relations ||
+      relations.dim() != config_.relation_dim) {
+    return Status::Corruption("snapshot table shape mismatch");
+  }
+  return Tables(std::move(entities), std::move(relations));
+}
+
+Status ParameterServer::ReadAccumulators(
+    const embedding::CheckpointReader& reader, std::vector<float>* entity,
+    std::vector<float>* relation) const {
+  if (const std::string* opt =
+          reader.Find(embedding::SectionTag::kPsOptimizer);
+      opt != nullptr) {
+    ByteReader r(*opt);
+    *entity = r.FloatVec();
+    *relation = r.FloatVec();
+    if (!r.ok() || r.remaining() != 0) {
+      return Status::Corruption("bad PS optimizer section");
+    }
+  } else {
+    // Quantized snapshot: the accumulators live in fp32 sidecars.
+    HETKG_ASSIGN_OR_RETURN(
+        *entity,
+        ReadColdFloats(reader, embedding::SectionTag::kEntityOptState));
+    HETKG_ASSIGN_OR_RETURN(
+        *relation,
+        ReadColdFloats(reader, embedding::SectionTag::kRelationOptState));
+  }
+  if (entity->size() != config_.num_entities * config_.entity_dim ||
+      relation->size() != config_.num_relations * config_.relation_dim) {
+    return Status::Corruption("bad PS optimizer section");
+  }
+  return Status::OK();
+}
+
+Result<ParameterServer::RuntimeState> ParameterServer::DecodeRuntime(
+    std::string_view payload) const {
+  ByteReader r(payload);
+  RuntimeState state;
+  state.push_seq = r.U64Vec();
+  state.applied_push_seq = r.U64Vec();
+  if (!r.ok() || state.push_seq.size() != push_seq_.size() ||
+      state.applied_push_seq.size() != applied_push_seq_.size() ||
+      !state.metrics.LoadState(&r) || r.remaining() != 0) {
+    return Status::Corruption("bad PS runtime section");
+  }
+  return state;
 }
 
 Status ParameterServer::RestartShard(
@@ -487,43 +507,15 @@ Status ParameterServer::RestartShard(
                                   config_.relation_dim,
                                   config_.learning_rate);
   if (snapshot != nullptr) {
-    HETKG_ASSIGN_OR_RETURN(
-        entities, ReadTableSection(*snapshot,
-                                   embedding::SectionTag::kEntityTable));
-    HETKG_ASSIGN_OR_RETURN(
-        relations, ReadTableSection(*snapshot,
-                                    embedding::SectionTag::kRelationTable));
-    if (entities.num_rows() != config_.num_entities ||
-        entities.dim() != config_.entity_dim ||
-        relations.num_rows() != config_.num_relations ||
-        relations.dim() != config_.relation_dim) {
-      return Status::Corruption("snapshot table shape mismatch");
-    }
-    const std::string* opt =
-        snapshot->Find(embedding::SectionTag::kPsOptimizer);
-    if (opt != nullptr) {
-      ByteReader opt_reader(*opt);
-      if (!entity_opt.LoadState(&opt_reader) ||
-          !relation_opt.LoadState(&opt_reader)) {
-        return Status::Corruption("bad PS optimizer section");
-      }
-    } else {
-      // Quantized snapshot: accumulators live in fp32 sidecars.
-      HETKG_ASSIGN_OR_RETURN(
-          const std::vector<float> entity_accum,
-          ReadColdFloats(*snapshot, embedding::SectionTag::kEntityOptState));
-      HETKG_ASSIGN_OR_RETURN(
-          const std::vector<float> relation_accum,
-          ReadColdFloats(*snapshot,
-                         embedding::SectionTag::kRelationOptState));
-      if (entity_accum.size() != config_.num_entities * config_.entity_dim ||
-          relation_accum.size() !=
-              config_.num_relations * config_.relation_dim) {
-        return Status::Corruption("bad PS optimizer section");
-      }
-      entity_opt.SetAccumulatorData(entity_accum);
-      relation_opt.SetAccumulatorData(relation_accum);
-    }
+    HETKG_ASSIGN_OR_RETURN(Tables tables, ReadTables(*snapshot));
+    entities = std::move(tables.first);
+    relations = std::move(tables.second);
+    std::vector<float> entity_accum;
+    std::vector<float> relation_accum;
+    HETKG_RETURN_IF_ERROR(
+        ReadAccumulators(*snapshot, &entity_accum, &relation_accum));
+    entity_opt.SetAccumulatorData(entity_accum);
+    relation_opt.SetAccumulatorData(relation_accum);
   } else {
     Rng rng(config_.init_seed);
     entities.InitXavierUniform(&rng);

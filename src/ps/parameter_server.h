@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -206,8 +208,17 @@ class ParameterServer {
   void SaveState(embedding::CheckpointWriter* w) const;
 
   /// Restores the state written by SaveState. Corruption when a section
-  /// is missing or its shape disagrees with this server's config.
+  /// is missing or its shape disagrees with this server's config; every
+  /// section is validated before any state changes.
   Status LoadState(const embedding::CheckpointReader& reader);
+
+  /// A kPsRuntime payload, decoded without touching the server;
+  /// Corruption unless sized for it.
+  struct RuntimeState {
+    std::vector<uint64_t> push_seq, applied_push_seq;
+    MetricRegistry metrics;
+  };
+  Result<RuntimeState> DecodeRuntime(std::string_view payload) const;
 
   /// Simulates the PS shard on `machine` restarting: the rows and
   /// accumulators it owns are restored from `snapshot` when given, or
@@ -218,6 +229,15 @@ class ParameterServer {
                       const embedding::CheckpointReader* snapshot);
 
  private:
+  /// A snapshot's tables (in RAM) and AdaGrad accumulators (in-band or
+  /// fp32 sidecars); Corruption unless shaped for this server.
+  using Tables =
+      std::pair<embedding::EmbeddingTable, embedding::EmbeddingTable>;
+  Result<Tables> ReadTables(const embedding::CheckpointReader& reader) const;
+  Status ReadAccumulators(const embedding::CheckpointReader& reader,
+                          std::vector<float>* entity,
+                          std::vector<float>* relation) const;
+
   ParameterServer(const PsConfig& config, std::vector<uint32_t> entity_owner,
                   sim::ClusterSim* cluster, sim::Transport* transport,
                   embedding::EmbeddingTable entity_table,

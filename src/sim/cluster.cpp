@@ -153,8 +153,8 @@ void ClusterSim::SaveState(ByteWriter* w) const {
   }
 }
 
-bool ClusterSim::LoadState(ByteReader* r) {
-  if (r->U64() != per_machine_.size()) return false;
+Commit ClusterSim::StageState(ByteReader* r) {
+  if (r->U64() != per_machine_.size()) return {};
   std::vector<MachineCounters> machines(per_machine_.size());
   for (MachineCounters& c : machines) {
     c.bytes_out = r->U64();
@@ -165,9 +165,10 @@ bool ClusterSim::LoadState(ByteReader* r) {
     c.stall_seconds = r->F64();
     c.slowdown = r->F64();
   }
-  if (!r->ok()) return false;
-  per_machine_ = std::move(machines);
-  return true;
+  if (!r->ok()) return {};
+  return [this, machines = std::move(machines)]() mutable {
+    per_machine_ = std::move(machines);
+  };
 }
 
 }  // namespace hetkg::sim

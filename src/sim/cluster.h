@@ -137,7 +137,7 @@ class ClusterSim {
   /// needs the partially accumulated clocks so the epoch's critical
   /// path comes out bit-identical to an uninterrupted run.
   void SaveState(ByteWriter* w) const;
-  bool LoadState(ByteReader* r);
+  Commit StageState(ByteReader* r);
 
  private:
   struct MachineCounters {

@@ -86,14 +86,19 @@ void Transport::SaveState(ByteWriter* w) const {
   metrics_.SaveState(w);
 }
 
-bool Transport::LoadState(ByteReader* r) {
+Commit Transport::StageState(ByteReader* r) {
   const uint64_t tick = r->U64();
   const uint64_t cursor = r->U64();
-  if (!r->ok() || cursor > process_schedule_.size()) return false;
-  if (!metrics_.LoadState(r)) return false;
-  tick_ = tick;
-  process_cursor_ = static_cast<size_t>(cursor);
-  return true;
+  MetricRegistry metrics;
+  if (!r->ok() || cursor > process_schedule_.size() ||
+      !metrics.LoadState(r)) {
+    return {};
+  }
+  return [this, tick, cursor, metrics = std::move(metrics)]() mutable {
+    tick_ = tick;
+    process_cursor_ = static_cast<size_t>(cursor);
+    metrics_ = std::move(metrics);
+  };
 }
 
 bool Transport::FaultsActive() const {

@@ -189,7 +189,7 @@ class Transport {
   /// process-fault delivery cursor, and the fault counters — for the
   /// HETKGCK2 snapshots. The plan itself is config and is rebuilt.
   void SaveState(ByteWriter* w) const;
-  bool LoadState(ByteReader* r);
+  Commit StageState(ByteReader* r);
 
  private:
   /// True when the fault machinery can fire at all.
